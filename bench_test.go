@@ -168,20 +168,25 @@ func BenchmarkTable1IOR(b *testing.B) {
 // the Fig. 4 create workload.
 func BenchmarkAblationPlacement(b *testing.B) {
 	full := params.Default()
+	// "no-randomization" is the default placement with the random level
+	// configured away, so it keeps the node-private hash buckets.
+	noRand := params.Default()
+	noRand.COFS.RandomSubdirs = 1
 	policies := []struct {
 		name  string
 		place core.Placement
+		cfg   params.Config
 	}{
-		{"paper-hash-rand-cap", nil},
-		{"no-randomization", core.HashPlacement{Fanout: full.COFS.DirFanout, RandomSubdirs: 1}},
-		{"node-hash-only", core.NodeHashPlacement{Fanout: full.COFS.DirFanout}},
-		{"flat-baseline", core.FlatPlacement{}},
+		{"paper-hash-rand-cap", nil, full},
+		{"no-randomization", nil, noRand},
+		{"node-hash-only", core.NodeHashPlacement{Fanout: full.COFS.DirFanout}, full},
+		{"flat-baseline", core.FlatPlacement{}, full},
 	}
 	for _, pol := range policies {
 		b.Run(pol.name, func(b *testing.B) {
 			var ms float64
 			for i := 0; i < b.N; i++ {
-				tb := cluster.New(int64(i+1), 4, params.Default())
+				tb := cluster.New(int64(i+1), 4, pol.cfg)
 				d := core.Deploy(tb, pol.place)
 				t := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
 				res := bench.Metarates(t, bench.MetaratesConfig{
@@ -324,11 +329,11 @@ func BenchmarkAblationFalseSharing(b *testing.B) {
 // working a private 4-leaf tree, at 1/2/4/8 metadata shards. The
 // configuration provisions the *data* plane out of the way so the
 // metadata service is the measured bottleneck: 16 underlying file
-// servers, a directory fanout scaled to the rank count (the paper's 64
-// was sized for 8 nodes; at 64 ranks it aliases bucket directories
-// across nodes and the underlying dir-token ping-pong dominates), and
-// no randomization level (cold-bucket first touches would otherwise
-// swamp the per-op mean). vms/op must decrease as shards grow.
+// servers, a directory fanout scaled to the rank count (the placement
+// gives each of the 16 nodes 64 buckets, so its 4 ranks x 4 leaves
+// rarely share one), and no randomization level (cold-bucket first
+// touches would otherwise swamp the per-op mean). vms/op must decrease
+// as shards grow.
 func BenchmarkShardScaling(b *testing.B) {
 	run := func(seed int64, shards int) *bench.MDTestResult {
 		cfg := params.Default()

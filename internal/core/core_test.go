@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,7 +10,9 @@ import (
 
 	"cofs/internal/cluster"
 	"cofs/internal/core"
+	"cofs/internal/lock"
 	"cofs/internal/params"
+	"cofs/internal/pfs"
 	"cofs/internal/sim"
 	"cofs/internal/stats"
 	"cofs/internal/vfs"
@@ -151,6 +154,119 @@ func TestBucketCapSpills(t *testing.T) {
 		if n > 16 {
 			t.Fatalf("underlying dir %s has %d entries > cap 16", dir, n)
 		}
+	}
+}
+
+// TestSharedDirStormNodePrivateBuckets is the paper's shared-directory
+// create storm on 16 nodes: every node's creates land in buckets no
+// other node writes, so once the install has relinquished its tokens
+// the underlying file system never moves a bucket's directory token
+// between nodes, and each node's local bucket fill counts are exact —
+// no bucket directory holds more than MaxEntriesPerDir files.
+func TestSharedDirStormNodePrivateBuckets(t *testing.T) {
+	const nodes, procs, files, limit = 16, 2, 40, 16
+	cfg := params.Default()
+	cfg.COFS.MaxEntriesPerDir = limit
+	tb := cluster.New(1, nodes, cfg)
+	d := core.Deploy(tb, nil)
+	tb.Run()
+	step(tb, "mkdir", func(p *sim.Proc) {
+		if err := d.Mounts[0].Mkdir(p, ctx, "/shared", 0777); err != nil {
+			t.Error(err)
+		}
+	})
+	for n := 0; n < nodes; n++ {
+		for pid := 1; pid <= procs; pid++ {
+			n, pid := n, pid
+			tb.Env.Spawn("creator", func(p *sim.Proc) {
+				cx := cluster.Ctx(n, pid)
+				for i := 0; i < files; i++ {
+					f, err := d.Mounts[n].Create(p, cx, fmt.Sprintf("/shared/f%02d-%d-%02d", n, pid, i), 0644)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					f.Close(p)
+				}
+			})
+		}
+	}
+	tb.Env.MustRun()
+	fill := map[string]int{}
+	d.Service.EachMapping(func(id vfs.Ino, upath string) {
+		fill[upath[:strings.LastIndex(upath, "/")]]++
+	})
+	total := 0
+	for dir, n := range fill {
+		total += n
+		if n > limit {
+			t.Errorf("underlying dir %s holds %d files > cap %d", dir, n, limit)
+		}
+	}
+	if total != nodes*procs*files {
+		t.Fatalf("%d mapped files, want %d", total, nodes*procs*files)
+	}
+	// The install ran on node 0 alone and relinquished every token, so
+	// a bucket's first user takes its token without a transfer; any
+	// transfer at all is two nodes writing one bucket. Parents are read
+	// before their spill subdirectories: resolving a path takes a
+	// shared token on every directory along it.
+	dirs := make([]string, 0, len(fill))
+	for dir := range fill {
+		dirs = append(dirs, dir)
+	}
+	sort.Strings(dirs)
+	step(tb, "bucket-tokens", func(p *sim.Proc) {
+		for _, dir := range dirs {
+			attr, err := tb.Mounts[0].Stat(p, vfs.Ctx{UID: 0}, dir)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			r := lock.Resource{Kind: pfs.KindDir, ID: uint64(attr.Ino)}
+			if n := tb.FS.Tokens.Transfers(r); n != 0 {
+				t.Errorf("bucket %s: directory token moved between nodes %d times, want 0", dir, n)
+			}
+		}
+	})
+	var rep *core.FsckReport
+	step(tb, "fsck", func(p *sim.Proc) { rep = core.Fsck(p, d.Service, tb.Mounts[0]) })
+	if !rep.OK() {
+		t.Fatalf("fsck after storm:\n%s", rep)
+	}
+}
+
+// TestCreateUnlinkTxOps pins the transaction work of the create and
+// last-link unlink paths on one shard. Every operation of a shard's
+// transactions is serial shard time (they run under the database's
+// transaction mutex). A create reads the parent and the new dentry and
+// writes inode, dentry and parent: 5 ops, the underlying path riding in
+// the inode row. A last-link unlink reads parent, dentry and inode,
+// deletes dentry and inode and writes the parent: 6 ops.
+func TestCreateUnlinkTxOps(t *testing.T) {
+	r := newRig(1)
+	db := r.d.Service.Shards()[0].DB
+	m := r.d.Mounts[0]
+	var create, unlink int64
+	r.run(t, func(p *sim.Proc) {
+		before := db.TxOps
+		f, err := m.Create(p, ctx, "/f", 0644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close(p)
+		create = db.TxOps - before
+		before = db.TxOps
+		if err := m.Unlink(p, ctx, "/f"); err != nil {
+			t.Fatal(err)
+		}
+		unlink = db.TxOps - before
+	})
+	if create != 5 {
+		t.Errorf("create charged %d transaction ops, want 5", create)
+	}
+	if unlink != 6 {
+		t.Errorf("last-link unlink charged %d transaction ops, want 6", unlink)
 	}
 }
 

@@ -30,9 +30,11 @@ type Deployment struct {
 
 // Deploy installs COFS on the testbed with the given placement policy
 // (nil selects the paper's hash placement with the configured fanout and
-// randomization). The service shards run on dedicated blades attached to
-// the original blade-center switch, as in section IV; the paper's
-// deployment is MetadataShards == 1.
+// randomization). A HashPlacement without a node count is partitioned
+// among the testbed's nodes, so its buckets are node-private. The
+// service shards run on dedicated blades attached to the original
+// blade-center switch, as in section IV; the paper's deployment is
+// MetadataShards == 1.
 func Deploy(tb *cluster.Testbed, place Placement) *Deployment {
 	cfg := tb.Cfg
 	if place == nil {
@@ -40,6 +42,10 @@ func Deploy(tb *cluster.Testbed, place Placement) *Deployment {
 			Fanout:        cfg.COFS.DirFanout,
 			RandomSubdirs: cfg.COFS.RandomSubdirs,
 		}
+	}
+	if hp, ok := place.(HashPlacement); ok && hp.Nodes == 0 {
+		hp.Nodes = len(tb.Nodes)
+		place = hp
 	}
 	shards := cfg.COFS.MetadataShards
 	if shards < 1 {

@@ -28,9 +28,9 @@ type FS struct {
 	rng   *rand.Rand
 
 	// buckets tracks per-bucket fill so the MaxEntriesPerDir cap can
-	// spill to a fresh generation. Buckets are private to this client
-	// by construction (the hash includes the node), so local counts are
-	// exact.
+	// spill to a fresh generation. The placement partitions buckets
+	// among nodes (HashPlacement), so a bucket is private to this client
+	// by construction and local counts are exact.
 	buckets map[string]*bucketState
 	// madeDirs remembers underlying directories already created.
 	madeDirs map[string]bool
@@ -203,28 +203,27 @@ func (f *FS) Getattr(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino) (vfs.Attr, error) {
 
 // Setattr implements vfs.Filesystem. Truncation is forwarded to the
 // underlying file as well, since size lives there authoritatively while
-// a writer is active.
+// a writer is active; the service's reply names the underlying path.
 func (f *FS) Setattr(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino, set vfs.SetAttr) (vfs.Attr, error) {
 	f.Stats.ServiceOps++
 	f.attrs.drop(ino)
-	attr, err := f.svc.Setattr(p, f.sess, ctx, ino, set)
+	attr, upath, err := f.svc.Setattr(p, f.sess, ctx, ino, set)
 	if err != nil {
 		return attr, err
 	}
 	f.attrs.put(p, attr, "")
-	if set.HasSize && attr.Type == vfs.TypeRegular {
-		if upath, ok := f.svc.Mapping(ino); ok {
-			if terr := f.under.Truncate(p, f.underCtx(), upath, set.Size); terr != nil {
-				return attr, terr
-			}
+	if set.HasSize && upath != "" {
+		if terr := f.under.Truncate(p, f.underCtx(), upath, set.Size); terr != nil {
+			return attr, terr
 		}
 	}
 	return attr, nil
 }
 
 // Create implements vfs.Filesystem: the placement driver picks the
-// underlying directory, the service records the mapping, and the file is
-// created in the (small, node-private) underlying directory.
+// underlying directory, the service records the path in the file's
+// inode row, and the file is created in the (small, node-private)
+// underlying directory.
 func (f *FS) Create(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string, mode uint32) (vfs.Attr, vfs.Handle, error) {
 	if name == "" || len(name) > vfs.MaxNameLen {
 		return vfs.Attr{}, 0, vfs.ErrInvalid
@@ -290,7 +289,7 @@ func (f *FS) Open(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino, flags vfs.OpenFlags) (v
 	}
 	if flags&vfs.OpenTrunc != 0 {
 		f.attrs.drop(ino)
-		if _, err := f.svc.Setattr(p, f.sess, ctx, ino, vfs.SetAttr{HasSize: true, Size: 0}); err != nil {
+		if _, _, err := f.svc.Setattr(p, f.sess, ctx, ino, vfs.SetAttr{HasSize: true, Size: 0}); err != nil {
 			return 0, err
 		}
 		if err := f.under.Truncate(p, f.underCtx(), upath, 0); err != nil {
@@ -440,7 +439,7 @@ func (f *FS) Rmdir(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string) error {
 }
 
 // Rename implements vfs.Filesystem: a pure service transaction — the
-// underlying layout never changes because mappings are by file id.
+// underlying layout never changes because underlying paths are by file id.
 func (f *FS) Rename(p *sim.Proc, ctx vfs.Ctx, srcDir vfs.Ino, srcName string, dstDir vfs.Ino, dstName string) error {
 	f.Stats.ServiceOps++
 	upath, replaced, err := f.svc.Rename(p, f.sess, ctx, srcDir, srcName, dstDir, dstName)

@@ -37,9 +37,10 @@ import (
 // pointer, and routing is bit-identical to a static map.
 
 // ShardMap is the deterministic placement function of the metadata
-// plane. Inode rows (and their mappings) live on the shard derived from
-// the inode id; dentries live on the shard of their parent directory, so
-// Lookup and Readdir are always coordinated by a single shard.
+// plane. Inode rows (underlying paths included) live on the shard
+// derived from the inode id; dentries live on the shard of their parent
+// directory, so Lookup and Readdir are always coordinated by a single
+// shard.
 //
 // Placement is strided: shard s owns every id with (id-1) mod N == s,
 // and each shard allocates ids from its own stride. New regular files
@@ -324,14 +325,14 @@ func (c *MDSCluster) Getattr(p *sim.Proc, sess *Session, id vfs.Ino) (attr vfs.A
 }
 
 // Setattr updates attributes of id on its owning shard.
-func (c *MDSCluster) Setattr(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino, set vfs.SetAttr) (attr vfs.Attr, err error) {
+func (c *MDSCluster) Setattr(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino, set vfs.SetAttr) (attr vfs.Attr, upath string, err error) {
 	ob := c.obsBegin(p, sess, "op.setattr", id)
 	defer c.obsEnd(p, ob)
 	c.routed(p, sess, id, func(s *Service) error {
-		attr, err = s.Setattr(p, sess, ctx, id, set)
+		attr, upath, err = s.Setattr(p, sess, ctx, id, set)
 		return err
 	})
-	return attr, err
+	return attr, upath, err
 }
 
 // Create allocates a new object under parent; coordinated by the
@@ -357,7 +358,7 @@ func (c *MDSCluster) Readlink(p *sim.Proc, sess *Session, id vfs.Ino) (tgt strin
 	return tgt, err
 }
 
-// OpenInfo returns attributes and underlying mapping of a regular file.
+// OpenInfo returns attributes and underlying path of a regular file.
 func (c *MDSCluster) OpenInfo(p *sim.Proc, sess *Session, id vfs.Ino) (attr vfs.Attr, upath string, err error) {
 	ob := c.obsBegin(p, sess, "op.open", id)
 	defer c.obsEnd(p, ob)
@@ -450,16 +451,23 @@ func (c *MDSCluster) CountObjects(p *sim.Proc, sess *Session) (int64, int64) {
 	return files, dirs
 }
 
-// Mapping returns the underlying path of a regular file (cofsctl).
+// Mapping returns the underlying path of a regular file from its inode
+// row, outside simulated time (tooling and tests; clients learn paths
+// from Create, OpenInfo and Setattr replies).
 func (c *MDSCluster) Mapping(id vfs.Ino) (string, bool) {
-	return c.shard(id).mappings.Peek(id)
+	row, ok := c.shard(id).inodes.Peek(id)
+	return row.UPath, ok && row.UPath != ""
 }
 
 // EachMapping visits every (file id, underlying path) pair, shard by
 // shard in deterministic order (tooling and tests).
 func (c *MDSCluster) EachMapping(fn func(id vfs.Ino, upath string)) {
 	for _, s := range c.shards {
-		s.mappings.Each(fn)
+		s.inodes.Each(func(id vfs.Ino, row inodeRow) {
+			if row.UPath != "" {
+				fn(id, row.UPath)
+			}
+		})
 	}
 }
 
@@ -585,7 +593,7 @@ func (c *MDSCluster) ShardCounts() []int {
 // every row lives on the shard the map assigns it, every dentry points
 // at a live inode (wherever it lives), dentry types mirror inode types,
 // nlink matches the cluster-wide dentry references for non-directories,
-// and every regular file has a mapping co-located with its inode. Tests
+// and every regular file's row carries its underlying path. Tests
 // call it after workloads, at drained instants (mid-migration a batch's
 // rows are legitimately in flight between shards).
 func (c *MDSCluster) CheckInvariants() error {
@@ -605,11 +613,6 @@ func (c *MDSCluster) CheckInvariants() error {
 				err = fmt.Errorf("core: inode row %d disagrees with its key %d", row.ID, id)
 			}
 			inodes[id] = loc{row: row, shard: si}
-		})
-		s.mappings.Each(func(id vfs.Ino, upath string) {
-			if c.Of(id) != si {
-				err = fmt.Errorf("core: mapping for %d on shard %d, map says %d", id, si, c.Of(id))
-			}
 		})
 	}
 	if err != nil {
@@ -665,10 +668,8 @@ func (c *MDSCluster) CheckInvariants() error {
 		if refs[id] != l.row.Nlink {
 			return fmt.Errorf("core: inode %d nlink=%d, %d dentries", id, l.row.Nlink, refs[id])
 		}
-		if l.row.Type == vfs.TypeRegular {
-			if _, ok := c.shards[l.shard].mappings.Peek(id); !ok {
-				return fmt.Errorf("core: regular file %d has no mapping", id)
-			}
+		if (l.row.Type == vfs.TypeRegular) != (l.row.UPath != "") {
+			return fmt.Errorf("core: inode %d (type %v) has underlying path %q", id, l.row.Type, l.row.UPath)
 		}
 	}
 	return nil

@@ -8,11 +8,12 @@
 //     creating node, the virtual parent directory and the creating
 //     process, plus a randomization level, capping underlying directories
 //     at MaxEntriesPerDir (512 in the paper) — so parallel creates into
-//     one shared virtual directory land in many small, mostly
-//     node-private underlying directories.
+//     one shared virtual directory land in many small, node-private
+//     underlying directories.
 //   - The metadata driver and service (service.go) keep the virtual
-//     hierarchy and file attributes in Mnesia-style tables; they hold no
-//     data-placement information whatsoever.
+//     hierarchy and file attributes in Mnesia-style tables; the only
+//     data-placement information they hold is each regular file's
+//     opaque underlying path, carried in its inode row.
 //   - The COFS file system (fs.go) implements vfs.Filesystem on each
 //     client, forwarding namespace/attribute operations to the service
 //     and data operations to the underlying file system.
@@ -75,6 +76,15 @@ func mix64(x uint64) uint64 {
 // node, virtual parent, creating process) selects the bucket, and a
 // randomization level below it spreads files that are created on one
 // node but later accessed in parallel.
+//
+// Buckets are node-private by construction, not by luck of the hash:
+// the Fanout buckets are partitioned among the Nodes creating nodes and
+// the hash only picks among the creating node's own. With N <= Fanout
+// nodes, node n owns buckets [n*floor(F/N), (n+1)*floor(F/N)); with
+// N > Fanout, node n uses bucket n mod F, so at most ceil(N/F) nodes
+// share one. A bucket directory therefore only ever takes creates from
+// one node (or ceil(N/F)), and the underlying file system never passes
+// its directory token between nodes.
 type HashPlacement struct {
 	// Fanout is the number of hash buckets (two hex levels are derived
 	// from it).
@@ -82,16 +92,28 @@ type HashPlacement struct {
 	// RandomSubdirs is the number of random subdirectories below the
 	// hashed path; 0 or 1 disables the randomization level.
 	RandomSubdirs int
+	// Nodes is the number of creating nodes the buckets are partitioned
+	// among. Deploy sets it from the testbed when it is 0; a BucketDir
+	// call with 0 or 1 lets every node hash over all Fanout buckets.
+	Nodes int
+}
+
+// bucket returns the hash bucket index of a create by (node, pid) in
+// parent: one of the creating node's own buckets.
+func (hp HashPlacement) bucket(node, pid int, parent vfs.Ino) uint64 {
+	fanout := uint64(max(hp.Fanout, 1))
+	nodes := uint64(max(hp.Nodes, 1))
+	slot := uint64(node) % nodes
+	if nodes > fanout {
+		return slot % fanout
+	}
+	per := fanout / nodes
+	return slot*per + hash3(node, pid, parent)%per
 }
 
 // BucketDir implements Placement.
 func (hp HashPlacement) BucketDir(node, pid int, parent vfs.Ino, rnd uint64) string {
-	fanout := hp.Fanout
-	if fanout < 1 {
-		fanout = 1
-	}
-	h := hash3(node, pid, parent) % uint64(fanout)
-	dir := fmt.Sprintf("o/%03x", h)
+	dir := fmt.Sprintf("o/%03x", hp.bucket(node, pid, parent))
 	if hp.RandomSubdirs > 1 {
 		dir = fmt.Sprintf("%s/r%02d", dir, rnd%uint64(hp.RandomSubdirs))
 	}

@@ -157,3 +157,43 @@ func TestPlacementNamesDistinct(t *testing.T) {
 		names[p.Name()] = true
 	}
 }
+
+// TestHashPlacementNodePrivate: with the node count bound, the hash
+// buckets are partitioned among the nodes, so no bucket directory ever
+// takes creates from two nodes while N <= Fanout, and at most
+// ceil(N/Fanout) nodes share one beyond that — for any pid, parent and
+// random draw.
+func TestHashPlacementNodePrivate(t *testing.T) {
+	for _, tc := range []struct{ nodes, maxShare int }{
+		{1, 1}, {2, 1}, {3, 1}, {8, 1}, {16, 1}, {24, 1}, {64, 1}, {128, 2},
+	} {
+		hp := core.HashPlacement{Fanout: 64, RandomSubdirs: 8, Nodes: tc.nodes}
+		init := make(map[string]bool)
+		for _, d := range hp.InitDirs() {
+			init[d] = true
+		}
+		users := make(map[string]map[int]bool) // hash-level bucket -> nodes
+		f := func(pid uint16, parent uint32, rnd uint64) bool {
+			for n := 0; n < tc.nodes; n++ {
+				dir := hp.BucketDir(n, int(pid), vfs.Ino(parent), rnd)
+				if !init[dir] {
+					return false
+				}
+				bucket := dir[:strings.LastIndex(dir, "/")]
+				if users[bucket] == nil {
+					users[bucket] = make(map[int]bool)
+				}
+				users[bucket][n] = true
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatalf("nodes=%d: bucket outside InitDirs: %v", tc.nodes, err)
+		}
+		for bucket, ns := range users {
+			if len(ns) > tc.maxShare {
+				t.Errorf("nodes=%d: bucket %s shared by %d nodes, want <= %d", tc.nodes, bucket, len(ns), tc.maxShare)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"cofs/internal/core"
 	"cofs/internal/params"
 	"cofs/internal/sim"
+	"cofs/internal/vfs"
 )
 
 // These tests pin the crash-consistency half of online resharding
@@ -268,5 +270,68 @@ func TestShrinkRetiresDrainedShards(t *testing.T) {
 	}
 	if after.Get("mds.reshard-wal-handoff") == 0 {
 		t.Error("mds.reshard-wal-handoff = 0 after a shrink that moved rows")
+	}
+}
+
+// upaths snapshots every regular file's underlying path.
+func upaths(d *core.Deployment) map[vfs.Ino]string {
+	out := make(map[vfs.Ino]string)
+	d.Service.EachMapping(func(id vfs.Ino, upath string) { out[id] = upath })
+	return out
+}
+
+// TestReshardKeepsUnderlyingPaths: a file's underlying path rides in its
+// inode row, so a migration moves it with the row. A 2→4 grow, run
+// through and crashed at the first instant of every step kind then
+// recovered, must leave every file with exactly the path it had before,
+// and the plane fsck-clean against the underlying file system.
+func TestReshardKeepsUnderlyingPaths(t *testing.T) {
+	const seed, dirs, files = 7400, 8, 24
+	check := func(t *testing.T, d *core.Deployment, want map[vfs.Ino]string) {
+		t.Helper()
+		if got := upaths(d); !reflect.DeepEqual(got, want) {
+			t.Fatalf("underlying paths changed across the migration:\n got %v\nwant %v", got, want)
+		}
+	}
+	t.Run("grow-2to4", func(t *testing.T) {
+		tb, d := crashRig(t, seed, 2)
+		paths := buildTree(t, tb, d, dirs, files)
+		want := upaths(d)
+		if len(want) != files {
+			t.Fatalf("%d mapped files before the grow, want %d", len(want), files)
+		}
+		step(tb, "reshard", func(p *sim.Proc) {
+			if err := d.Service.Reshard(p, 4); err != nil {
+				t.Error(err)
+			}
+		})
+		check(t, d, want)
+		assertRecovered(t, tb, d, paths, 4)
+	})
+	points := countReshardSteps(t, seed, 2, 4, dirs, files)
+	seen := make(map[core.ReshardPoint]bool)
+	for k, at := range points {
+		if seen[at] {
+			continue
+		}
+		seen[at] = true
+		k := k
+		t.Run(fmt.Sprintf("crash-at-%02d-%s", k, at), func(t *testing.T) {
+			tb, d := crashRig(t, seed, 2)
+			paths := buildTree(t, tb, d, dirs, files)
+			want := upaths(d)
+			d.Service.OnReshardStep(func(seq int, _ core.ReshardPoint) bool { return seq == k })
+			step(tb, "reshard-crash-recover", func(p *sim.Proc) {
+				if err := d.Service.Reshard(p, 4); err != core.ErrReshardInterrupted {
+					t.Errorf("reshard returned %v, want ErrReshardInterrupted", err)
+					return
+				}
+				d.Service.Crash()
+				d.Service.Recover(p)
+				d.Service.AdoptIDCounter()
+			})
+			check(t, d, want)
+			assertRecovered(t, tb, d, paths, 4)
+		})
 	}
 }

@@ -26,7 +26,10 @@ const RootID vfs.Ino = 1
 // inodeRow is the metadata the service keeps per object (type, owner,
 // permissions, times — section III-C). For regular files Size/Mtime are
 // updated on writer close (close-to-open consistency); the service holds
-// no block or placement information beyond the opaque mapping table.
+// no block or placement information beyond a regular file's opaque
+// underlying path, which lives in the row itself: every transaction that
+// creates, reads or reclaims the file already touches the row, so the
+// mapping costs no table operation of its own.
 type inodeRow struct {
 	ID     vfs.Ino
 	Type   vfs.FileType
@@ -39,6 +42,9 @@ type inodeRow struct {
 	Mtime  time.Duration
 	Ctime  time.Duration
 	Target string // symlink
+	// UPath is a regular file's underlying path relative to the COFS
+	// object root (<bucket>/f<id>); immutable for the row's lifetime.
+	UPath string
 }
 
 func (r inodeRow) attr() vfs.Attr {
@@ -104,7 +110,6 @@ type Service struct {
 
 	inodes   *mdb.Table[vfs.Ino, inodeRow]
 	dentries *mdb.Table[dentryKey, dentryRow]
-	mappings *mdb.Table[vfs.Ino, string]
 
 	// nextID allocates from this shard's stride: allocBase is the
 	// smallest id of the stride and allocStride the step, so placement-
@@ -174,7 +179,6 @@ func newShard(net *netsim.Net, host *netsim.Host, cfg params.Config, c *MDSClust
 	s.inodes = mdb.NewTable[vfs.Ino, inodeRow](db, "inode", mdb.DiscCopies)
 	s.dentries = mdb.NewTable[dentryKey, dentryRow](db, "dentry", mdb.DiscCopies)
 	s.dentries.AddIndex("parent", func(r dentryRow) string { return parentIndexKey(r.Parent) })
-	s.mappings = mdb.NewTable[vfs.Ino, string](db, "mapping", mdb.DiscCopies)
 
 	if shardID == 0 {
 		// Bootstrap the root directory outside simulated time.
@@ -403,7 +407,9 @@ func (s *Service) Getattr(p *sim.Proc, sess *Session, id vfs.Ino) (vfs.Attr, err
 }
 
 // Setattr updates attributes of id (chmod/chown/utime/truncate record).
-func (s *Service) Setattr(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino, set vfs.SetAttr) (vfs.Attr, error) {
+// The reply carries a regular file's underlying path, so a truncating
+// client can forward the new size without another lookup.
+func (s *Service) Setattr(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino, set vfs.SetAttr) (vfs.Attr, string, error) {
 	s.Stats.Updates++
 	return s.updateRow(p, sess, rpc.OpSetattr, id, func(row *inodeRow) error {
 		if set.HasMode && ctx.UID != 0 && ctx.UID != row.UID {
@@ -430,11 +436,12 @@ func (s *Service) Setattr(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino, s
 	})
 }
 
-// updateRow applies fn to id's row in a durable transaction. On success
-// other holders' attribute leases on id are recalled and the mutating
-// session is granted a fresh one.
-func (s *Service) updateRow(p *sim.Proc, sess *Session, op rpc.Op, id vfs.Ino, fn func(*inodeRow) error) (vfs.Attr, error) {
-	r := call(p, s, sess, op, 160, 192, func(p *sim.Proc) attrReply {
+// updateRow applies fn to id's row in a durable transaction and returns
+// the new attributes and the row's underlying path. On success other
+// holders' attribute leases on id are recalled and the mutating session
+// is granted a fresh one.
+func (s *Service) updateRow(p *sim.Proc, sess *Session, op rpc.Op, id vfs.Ino, fn func(*inodeRow) error) (vfs.Attr, string, error) {
+	r := call(p, s, sess, op, 160, 192, func(p *sim.Proc) pathReply {
 		// The row's Shared lock keeps a live migration (which takes the
 		// group Exclusive) from moving it out from under the update
 		// transaction; free when uncontended, no-op on an unsharded
@@ -444,9 +451,9 @@ func (s *Service) updateRow(p *sim.Proc, sess *Session, op rpc.Op, id vfs.Ino, f
 		txn := s.lockRows(p, lock.S(s.inoKey(id)))
 		defer txn.release(p)
 		if err := s.claim(id); err != nil {
-			return attrReply{err: err}
+			return pathReply{err: err}
 		}
-		var out attrReply
+		var out pathReply
 		s.DB.Transaction(p, func(tx *mdb.Tx) {
 			if s.staleProtocol(txn) {
 				out.err = ErrWrongEpoch
@@ -462,7 +469,7 @@ func (s *Service) updateRow(p *sim.Proc, sess *Session, op rpc.Op, id vfs.Ino, f
 				return
 			}
 			mdb.Put(tx, s.inodes, id, row)
-			out.attr = row.attr()
+			out.attr, out.upath = row.attr(), row.UPath
 		})
 		if out.err == nil {
 			s.revokeLeases(p, sess, attrLease(id))
@@ -470,7 +477,7 @@ func (s *Service) updateRow(p *sim.Proc, sess *Session, op rpc.Op, id vfs.Ino, f
 		}
 		return out
 	})
-	return r.attr, r.err
+	return r.attr, r.upath, r.err
 }
 
 type createReply struct {
@@ -532,8 +539,8 @@ func (s *Service) allocSite(t vfs.FileType, parent vfs.Ino, name string) *Servic
 
 // Create allocates a new object of the given type under parent. For
 // regular files, bucket is the underlying directory chosen by the
-// client's placement driver: the service composes and records the
-// mapping <bucket>/f<id> inside the transaction and returns it. The
+// client's placement driver: the service composes the underlying path
+// <bucket>/f<id>, records it in the new inode row and returns it. The
 // transaction commits durably (the service's ext3-backed log,
 // group-committed across clients).
 func (s *Service) Create(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino, name string, t vfs.FileType, mode uint32, bucket, target string) (vfs.Attr, string, error) {
@@ -601,15 +608,12 @@ func (s *Service) Create(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino
 			if t == vfs.TypeSymlink {
 				row.Size = int64(len(target))
 			}
+			row.UPath = underPath(t, bucket, id)
 			din.Mtime = p.Now()
 			mdb.Put(tx, s.inodes, id, row)
 			mdb.Put(tx, s.dentries, key, dentryRow{Parent: parent, Name: name, Child: id, Type: t})
 			mdb.Put(tx, s.inodes, parent, din)
-			if bucket != "" {
-				out.upath = fmt.Sprintf("%s/f%016x", bucket, uint64(id))
-				mdb.Put(tx, s.mappings, id, out.upath)
-			}
-			out.attr = row.attr()
+			out.attr, out.upath = row.attr(), row.UPath
 		})
 		if out.err == nil {
 			// Kill other nodes' negative dentries for the new name (and
@@ -622,6 +626,16 @@ func (s *Service) Create(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino
 		return out
 	})
 	return r.attr, r.upath, r.err
+}
+
+// underPath composes a new regular file's underlying path inside the
+// placement driver's bucket; other types (and a bucket-less create) have
+// none.
+func underPath(t vfs.FileType, bucket string, id vfs.Ino) string {
+	if t != vfs.TypeRegular || bucket == "" {
+		return ""
+	}
+	return fmt.Sprintf("%s/f%016x", bucket, uint64(id))
 }
 
 // Readlink returns a symlink's target.
@@ -646,26 +660,27 @@ func (s *Service) Readlink(p *sim.Proc, sess *Session, id vfs.Ino) (string, erro
 	return r.target, r.err
 }
 
-type mappingReply struct {
+// pathReply is an object's attributes plus, for a regular file, its
+// underlying path.
+type pathReply struct {
 	attr  vfs.Attr
 	upath string
 	err   error
 }
 
-// OpenInfo returns the attributes and underlying mapping of a regular
-// file in one round trip (used by open).
+// OpenInfo returns the attributes and underlying path of a regular file
+// in one round trip and one row read (used by open).
 func (s *Service) OpenInfo(p *sim.Proc, sess *Session, id vfs.Ino) (vfs.Attr, string, error) {
-	r := callRead(p, s, sess, rpc.OpOpenInfo, 96, 256, func(p *sim.Proc) mappingReply {
+	r := callRead(p, s, sess, rpc.OpOpenInfo, 96, 256, func(p *sim.Proc) pathReply {
 		if err := s.claim(id); err != nil {
-			return mappingReply{err: err}
+			return pathReply{err: err}
 		}
 		row, ok := mdb.DirtyGet(p, s.inodes, id)
 		if !ok {
-			return mappingReply{err: s.missErr(id, vfs.ErrNotExist)}
+			return pathReply{err: s.missErr(id, vfs.ErrNotExist)}
 		}
-		upath, _ := mdb.DirtyGet(p, s.mappings, id)
-		s.grantAttr(p, sess, id, upath)
-		return mappingReply{attr: row.attr(), upath: upath}
+		s.grantAttr(p, sess, id, row.UPath)
+		return pathReply{attr: row.attr(), upath: row.UPath}
 	})
 	return r.attr, r.upath, r.err
 }
@@ -744,10 +759,9 @@ func (s *Service) Remove(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino
 			din.Mtime = p.Now()
 			mdb.Put(tx, s.inodes, parent, din)
 			if row.Nlink <= 0 {
-				out.upath, _ = mdb.Get(tx, s.mappings, id)
+				out.upath = row.UPath
 				out.removed = true
 				mdb.Delete(tx, s.inodes, id)
-				mdb.Delete(tx, s.mappings, id)
 			} else {
 				mdb.Put(tx, s.inodes, id, row)
 			}
@@ -761,7 +775,7 @@ func (s *Service) Remove(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino
 }
 
 // Rename moves (srcDir, srcName) to (dstDir, dstName), replacing a
-// compatible target. The underlying mapping is untouched: renames never
+// compatible target. The underlying path is untouched: renames never
 // reach the underlying file system. It returns the id of a replaced
 // target (0 if none) for client cache invalidation, plus the underlying
 // path to delete when the replaced file's last link went away.
@@ -850,10 +864,9 @@ func (s *Service) Rename(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir vfs.Ino
 					}
 					tgt.Nlink--
 					if tgt.Nlink <= 0 {
-						out.upath, _ = mdb.Get(tx, s.mappings, existing)
+						out.upath = tgt.UPath
 						out.removed = true
 						mdb.Delete(tx, s.inodes, existing)
-						mdb.Delete(tx, s.mappings, existing)
 					} else {
 						mdb.Put(tx, s.inodes, existing, tgt)
 					}
@@ -1017,7 +1030,7 @@ func (s *Service) Readdir(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.Ino) 
 // consistency for attributes the service serves from its tables).
 func (s *Service) WriteBack(p *sim.Proc, sess *Session, id vfs.Ino, size int64, mtime time.Duration) error {
 	s.Stats.Updates++
-	_, err := s.updateRow(p, sess, rpc.OpWriteBack, id, func(row *inodeRow) error {
+	_, _, err := s.updateRow(p, sess, rpc.OpWriteBack, id, func(row *inodeRow) error {
 		if row.Type != vfs.TypeRegular {
 			return vfs.ErrInvalid
 		}
@@ -1044,17 +1057,6 @@ func (s *Service) CountObjects(p *sim.Proc, sess *Session) (int64, int64) {
 		return out
 	})
 	return r.files, r.dirs
-}
-
-// Mapping returns the underlying path of a regular file (cofsctl).
-func (s *Service) Mapping(id vfs.Ino) (string, bool) {
-	return s.mappings.Peek(id)
-}
-
-// EachMapping visits every (file id, underlying path) pair in
-// deterministic order (tooling and tests).
-func (s *Service) EachMapping(fn func(id vfs.Ino, upath string)) {
-	s.mappings.Each(fn)
 }
 
 // CheckInvariants for the whole metadata plane lives on MDSCluster (see

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"cofs/internal/lock"
@@ -15,9 +14,9 @@ import (
 // operations. The routing invariant (see mds.go) keeps every operation
 // coordinated by one shard — the one owning the parent directory's
 // dentries and inode row — and the rows that can live elsewhere are
-// exactly: a child's inode (directories placed by DirTarget, files
-// renamed in from another directory) and the mapping that travels with
-// a file's inode.
+// exactly a child's inode (directories placed by DirTarget, files
+// renamed in from another directory), with the underlying path a
+// regular file's inode row carries.
 //
 // Mutations that span shards run an explicit two-phase protocol over
 // simulated shard-to-shard RPCs (peerCall): a prepare/validate exchange
@@ -64,10 +63,9 @@ func (s *Service) peerGetattr(p *sim.Proc, sess *Session, id vfs.Ino) attrReply 
 // allocates and owns: a directory the shard map's DirTarget places
 // elsewhere (the common case), or — during a live shrink — a file or
 // symlink whose coordinator shard's allocator has been drained. Prepare
-// (allocate + insert the row there, plus the mapping for a regular
-// file, which must stay co-located with its inode), then commit the
-// dentry and parent update locally, aborting the prepared row if the
-// local validation fails.
+// (allocate + insert the row there, a regular file's underlying path
+// included), then commit the dentry and parent update locally, aborting
+// the prepared row if the local validation fails.
 func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino, name string, t vfs.FileType, mode uint32, bucket, target string, ts *Service) (vfs.Attr, string, error) {
 	r := call(p, s, sess, rpc.OpCreate, 256, 192, func(p *sim.Proc) createReply {
 		// The new inode row is freshly allocated — no other mutation can
@@ -102,36 +100,28 @@ func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent v
 		if !valid {
 			return out
 		}
-		// Phase 1: the owning shard prepares the inode row (and, for a
-		// regular file, composes and records the mapping next to it).
+		// Phase 1: the owning shard prepares the inode row (for a regular
+		// file, with the underlying path composed from its new id).
 		s.spanNext(p, open, "2pc.prepare")
-		type prepared struct {
-			row   inodeRow
-			upath string
-		}
-		pr := peerCall(p, s, ts, 160, 160, ts.cfg.ServiceCPUPerOp, func(p *sim.Proc) prepared {
-			var pre prepared
+		row := peerCall(p, s, ts, 160, 160, ts.cfg.ServiceCPUPerOp, func(p *sim.Proc) inodeRow {
+			var row inodeRow
 			ts.DB.Transaction(p, func(tx *mdb.Tx) {
 				id := ts.allocID()
-				pre.row = inodeRow{
+				row = inodeRow{
 					ID: id, Type: t, Mode: mode, UID: ctx.UID, GID: ctx.GID,
 					Nlink: 1, Mtime: p.Now(), Ctime: p.Now(), Target: target,
+					UPath: underPath(t, bucket, id),
 				}
 				switch t {
 				case vfs.TypeDir:
-					pre.row.Nlink = 2
+					row.Nlink = 2
 				case vfs.TypeSymlink:
-					pre.row.Size = int64(len(target))
+					row.Size = int64(len(target))
 				}
-				mdb.Put(tx, ts.inodes, id, pre.row)
-				if t == vfs.TypeRegular && bucket != "" {
-					pre.upath = fmt.Sprintf("%s/f%016x", bucket, uint64(id))
-					mdb.Put(tx, ts.mappings, id, pre.upath)
-				}
+				mdb.Put(tx, ts.inodes, id, row)
 			})
-			return pre
+			return row
 		})
-		row := pr.row
 		s.spanNext(p, open, "2pc.commit")
 		// Phase 2: commit the dentry and parent bookkeeping. The
 		// re-validation only matters for mutations that raced phase 0 —
@@ -155,12 +145,11 @@ func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent v
 			mdb.Put(tx, s.dentries, key, dentryRow{Parent: parent, Name: name, Child: row.ID, Type: t})
 			mdb.Put(tx, s.inodes, parent, din)
 			out.attr = row.attr()
-			out.upath = pr.upath
+			out.upath = row.UPath
 		})
 		if out.err != nil {
-			// Abort: reclaim the prepared inode (the id itself is burnt)
-			// and, for a regular file, the mapping prepared next to it.
-			s.peerDeleteInode(p, nil, ts, row.ID, pr.upath != "")
+			// Abort: reclaim the prepared inode (the id itself is burnt).
+			s.peerDeleteInode(p, nil, ts, row.ID)
 			out.upath = ""
 			return out
 		}
@@ -169,7 +158,7 @@ func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent v
 		if t == vfs.TypeRegular {
 			// Mirror the local create's grant; the lease lives at the
 			// row's owner, which is the shard that will recall it.
-			ts.grantAttr(p, sess, row.ID, pr.upath)
+			ts.grantAttr(p, sess, row.ID, row.UPath)
 		}
 		return out
 	})
@@ -250,7 +239,7 @@ func (s *Service) removeSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent 
 				}
 			})
 			s.revokeLeases(p, sess, dentLease(parent, name), attrLease(parent))
-			s.peerDeleteInode(p, sess, ts, id, false)
+			s.peerDeleteInode(p, sess, ts, id)
 			out.isDir = true
 			return out
 		}
@@ -267,10 +256,9 @@ func (s *Service) removeSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent 
 					mdb.Put(tx, s.inodes, parent, din)
 				}
 				if row.Nlink <= 0 {
-					out.upath, _ = mdb.Get(tx, s.mappings, id)
+					out.upath = row.UPath
 					out.removed = true
 					mdb.Delete(tx, s.inodes, id)
-					mdb.Delete(tx, s.mappings, id)
 				} else {
 					mdb.Put(tx, s.inodes, id, row)
 				}
@@ -309,19 +297,14 @@ func (s *Service) peerDirEmpty(p *sim.Proc, ts *Service, id vfs.Ino) bool {
 }
 
 // peerDeleteInode reclaims an inode row at its owning shard (commit
-// step; the row's dentry is already gone), plus — only when withMapping
-// is set, so the directory-reclaim callers charge exactly what they
-// always did — the mapping prepared next to a regular file's row
-// (createRemote's abort). The owner recalls any attribute leases on
-// the retired row; sess may be nil when reclaiming a prepared row that
-// no client ever saw.
-func (s *Service) peerDeleteInode(p *sim.Proc, sess *Session, ts *Service, id vfs.Ino, withMapping bool) {
+// step of rmdir, whose dentry is already gone, and createRemote's
+// abort). The owner recalls any attribute leases on the retired row;
+// sess may be nil when reclaiming a prepared row that no client ever
+// saw.
+func (s *Service) peerDeleteInode(p *sim.Proc, sess *Session, ts *Service, id vfs.Ino) {
 	peerCall(p, s, ts, 96, 64, ts.cfg.ServiceCPUPerOp, func(p *sim.Proc) struct{} {
 		ts.DB.Transaction(p, func(tx *mdb.Tx) {
 			mdb.Delete(tx, ts.inodes, id)
-			if withMapping {
-				mdb.Delete(tx, ts.mappings, id)
-			}
 		})
 		ts.revokeLeases(p, sess, attrLease(id))
 		return struct{}{}
@@ -329,7 +312,7 @@ func (s *Service) peerDeleteInode(p *sim.Proc, sess *Session, ts *Service, id vf
 }
 
 // peerUnlink drops one link of a non-directory inode at its owning
-// shard, reclaiming the row and its mapping when the last link dies.
+// shard, reclaiming the row when the last link dies.
 func (s *Service) peerUnlink(p *sim.Proc, sess *Session, id vfs.Ino) removeReply {
 	ts := s.peer(id)
 	return peerCall(p, s, ts, 128, 160, ts.cfg.ServiceCPUPerOp, func(p *sim.Proc) removeReply {
@@ -341,10 +324,9 @@ func (s *Service) peerUnlink(p *sim.Proc, sess *Session, id vfs.Ino) removeReply
 			}
 			row.Nlink--
 			if row.Nlink <= 0 {
-				rr.upath, _ = mdb.Get(tx, ts.mappings, id)
+				rr.upath = row.UPath
 				rr.removed = true
 				mdb.Delete(tx, ts.inodes, id)
-				mdb.Delete(tx, ts.mappings, id)
 			} else {
 				mdb.Put(tx, ts.inodes, id, row)
 			}
@@ -548,7 +530,7 @@ func (s *Service) renameSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir 
 		// directory) or one link of a replaced file/symlink.
 		if existing != 0 {
 			if replacedDir {
-				s.peerDeleteInode(p, sess, s.peer(existing), existing, false)
+				s.peerDeleteInode(p, sess, s.peer(existing), existing)
 			} else {
 				rep := s.peerUnlink(p, sess, existing)
 				out.upath, out.removed = rep.upath, rep.removed

@@ -110,7 +110,7 @@ func Ablation(w io.Writer, seed int64) {
 	full := params.Default()
 	variants := []variant{
 		{name: "paper: hash(node,parent,pid)+rand+cap", place: nil},
-		{name: "no randomization level", place: core.HashPlacement{Fanout: full.COFS.DirFanout, RandomSubdirs: 1}},
+		{name: "no randomization level", place: nil, tweak: func(c *params.Config) { c.COFS.RandomSubdirs = 1 }},
 		{name: "hash(node) only", place: core.NodeHashPlacement{Fanout: full.COFS.DirFanout}},
 		{name: "no 512-entry cap", place: nil, tweak: func(c *params.Config) { c.COFS.MaxEntriesPerDir = 0 }},
 		{name: "flat (no virtualization benefit)", place: core.FlatPlacement{}, tweak: func(c *params.Config) { c.COFS.MaxEntriesPerDir = 0 }},

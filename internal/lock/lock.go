@@ -82,6 +82,8 @@ type holder struct {
 type token struct {
 	mu      *sim.Mutex // serializes conflicting acquisitions FIFO
 	holders []holder
+	// transfers counts this token's Stats.Transfers share.
+	transfers int64
 }
 
 func (t *token) find(c Client) int {
@@ -211,6 +213,7 @@ func (m *Manager) grant(p *sim.Proc, c Client, r Resource, mode Mode) {
 	}
 	if revoked {
 		m.Stats.Transfers++
+		t.transfers++
 	} else {
 		m.Stats.LocalGrants++
 	}
@@ -288,6 +291,15 @@ func (m *Manager) HolderMode(c Client, r Resource) Mode {
 func (m *Manager) Holders(r Resource) int {
 	if t, ok := m.tokens[r]; ok {
 		return len(t.holders)
+	}
+	return 0
+}
+
+// Transfers returns the number of acquisitions of r that moved the
+// token between nodes (r's share of Stats.Transfers).
+func (m *Manager) Transfers(r Resource) int64 {
+	if t, ok := m.tokens[r]; ok {
+		return t.transfers
 	}
 	return 0
 }

@@ -123,8 +123,11 @@ type DB struct {
 
 	Commits      int64
 	Transactions int64
-	DirtyOps     int64
-	LogFlushes   int64
+	// TxOps counts the table operations charged inside transactions
+	// (each costs one opTime of serial shard time under txMu).
+	TxOps      int64
+	DirtyOps   int64
+	LogFlushes int64
 }
 
 // New creates a database with synchronous (force-per-commit) logging.
@@ -377,7 +380,6 @@ type Tx struct {
 	p       *sim.Proc
 	log     []walRec
 	durable bool
-	ops     int
 }
 
 // Transaction runs fn as a serializable transaction: table operations
@@ -402,7 +404,6 @@ func (db *DB) Transaction(p *sim.Proc, fn func(tx *Tx)) {
 	tx.db, tx.p = db, p
 	tx.log = db.scratchLog[:0]
 	tx.durable = false
-	tx.ops = 0
 	fn(tx)
 	// Apply the write set.
 	for _, rec := range tx.log {
@@ -431,7 +432,7 @@ func (db *DB) Transaction(p *sim.Proc, fn func(tx *Tx)) {
 }
 
 func (tx *Tx) charge() {
-	tx.ops++
+	tx.db.TxOps++
 	if tx.db.opTime > 0 {
 		tx.p.Sleep(tx.db.opTime)
 	}

@@ -24,8 +24,9 @@
 //     rows are born on the shard that will own them when it completes
 //     and are never migrated.
 //   - The moved log, an append-only record of (group id, epoch moved).
-//     A group — an inode id, standing for the inode row, its mapping,
-//     and the dentries of the directory it names — at or below SplitID
+//     A group — an inode id, standing for the inode row (a regular
+//     file's underlying path included) and the dentries of the
+//     directory it names — at or below SplitID
 //     is owned by its New shard from the epoch its batch committed and
 //     by its Old shard before that.
 //
@@ -254,8 +255,8 @@ type Stats struct {
 	Epochs int64
 	// GroupsMoved counts migrated groups (inode ids).
 	GroupsMoved int64
-	// RowsMoved counts migrated table rows (inode, dentry and mapping
-	// rows together).
+	// RowsMoved counts migrated table rows (inode and dentry rows
+	// together).
 	RowsMoved int64
 	// BytesMoved is the migration traffic carried shard-to-shard.
 	BytesMoved int64
