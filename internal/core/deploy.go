@@ -19,13 +19,6 @@ type Deployment struct {
 	Service *MDSCluster
 	FSs     []*FS
 	Mounts  []*vfs.Mount
-	// retired accumulates the service-plane counters of metadata planes
-	// this deployment demoted at failover (Standby.Promote). Counters()
-	// merges it so the per-layer report stays cumulative across a
-	// promotion — the Counters-level sibling of MDSCluster.priorPeer and
-	// Session.prior, which keep the transport figures cumulative. Nil
-	// until the first promotion.
-	retired *stats.Counters
 }
 
 // Deploy installs COFS on the testbed with the given placement policy
@@ -109,9 +102,16 @@ func (d *Deployment) Metrics() *obs.Metrics { return d.Service.Metrics() }
 // Counters aggregates the deployment's per-layer observability
 // counters: the RPC transport (client and shard-to-shard channels,
 // batching), the client cache (hits, misses, dentry/negative hits,
-// revocations), the service lease recalls, and the cross-shard
-// transaction layer's row locks (acquisitions, conflicts, virtual time
-// spent waiting). Tools print it; tests assert against it.
+// revocations), the service requests and lease recalls, the
+// cross-shard transaction layer's row locks (acquisitions, conflicts,
+// virtual time spent waiting), resharding and standby reads. Tools
+// print it; tests assert against it.
+//
+// Every figure is read from a block owned by what outlives the
+// components counting into it: each client's transport block (FS) and
+// the serving plane's counter block, which Standby.Promote hands over
+// to the promoted plane. Channels, sessions, shards and planes can be
+// dropped or replaced without any count being lost or folded.
 func (d *Deployment) Counters() *stats.Counters {
 	c := stats.NewCounters()
 	for _, fs := range d.FSs {
@@ -129,27 +129,15 @@ func (d *Deployment) Counters() *stats.Counters {
 		c.Add("cache.lease-installs", cs.Installs)
 		c.Add("cache.lease-revoked", cs.Revocations)
 	}
-	ps := d.Service.PeerTransportStats()
+	svc := d.Service
+	ps := svc.PeerTransportStats()
 	c.Add("rpc.peer.calls", ps.Calls)
 	c.Add("rpc.peer.roundtrips", ps.Wire)
 	c.Add("rpc.peer.batches", ps.Batches)
 	c.Add("rpc.peer.batched-reqs", ps.Batched)
-	sbReads, sbFalls := d.Service.StandbyReadStats()
+	sbReads, sbFalls := svc.StandbyReadStats()
 	c.Add("mds.standby-reads", sbReads)
 	c.Add("mds.standby-fallbacks", sbFalls)
-	c.Merge(serviceCounters(d.Service))
-	c.Merge(d.retired)
-	return c
-}
-
-// serviceCounters collects the counters that live on the MDSCluster
-// itself — request/lease totals, row-lock figures, reshard accounting.
-// Unlike the transport stats (Session.prior, MDSCluster.priorPeer/
-// priorStandbyReads) these have no built-in carry-over across a
-// failover, so Standby.Promote snapshots the demoted plane's set into
-// Deployment.retired and Counters merges both.
-func serviceCounters(svc *MDSCluster) *stats.Counters {
-	c := stats.NewCounters()
 	ss := svc.Stats()
 	c.Add("mds.requests", ss.Requests)
 	c.Add("mds.lease-revocations", ss.Revocations)

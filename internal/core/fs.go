@@ -6,6 +6,7 @@ import (
 
 	"cofs/internal/netsim"
 	"cofs/internal/params"
+	"cofs/internal/rpc"
 	"cofs/internal/sim"
 	"cofs/internal/vfs"
 )
@@ -42,6 +43,9 @@ type FS struct {
 	// (section IV-B future work; see attrcache.go). In lease mode the
 	// metadata shards install and recall its entries.
 	attrs *clientCache
+	// transport is the client's RPC counter block: every session this
+	// client dials, at deploy and at failover, counts into it.
+	transport rpc.ConnStats
 
 	Stats FSStats
 }
@@ -78,10 +82,9 @@ type cofsHandle struct {
 // client routes each operation to its coordinator shard.
 func NewFS(svc *MDSCluster, host *netsim.Host, node int, under *vfs.Mount, place Placement, cfg params.COFSParams, rng *rand.Rand) *FS {
 	cache := newClientCache(cfg)
-	return &FS{
+	f := &FS{
 		svc:      svc,
 		host:     host,
-		sess:     svc.Connect(host, node, cache),
 		node:     node,
 		under:    under,
 		place:    place,
@@ -93,6 +96,8 @@ func NewFS(svc *MDSCluster, host *netsim.Host, node int, under *vfs.Mount, place
 		nextH:    1,
 		attrs:    cache,
 	}
+	f.sess = svc.Connect(host, node, cache, &f.transport)
+	return f
 }
 
 // AttrCacheHits reports client attribute-cache hits (tooling/ablation).

@@ -244,10 +244,11 @@ func (s *Service) grantNegative(p *sim.Proc, sess *Session, parent vfs.Ino, name
 // directories they name. Migration has no mutating session, so nobody
 // is exempt; entries die at the batch's commit instant and the recall
 // messages are charged to the migration. Keys are recalled in
-// deterministic order (the lease table is a map).
-func (s *Service) recallGroupLeases(p *sim.Proc, ids []vfs.Ino) {
+// deterministic order (the lease table is a map). Returns how many
+// leases it recalled.
+func (s *Service) recallGroupLeases(p *sim.Proc, ids []vfs.Ino) int {
 	if !s.leases.enabled() {
-		return
+		return 0
 	}
 	moved := make(map[vfs.Ino]bool, len(ids))
 	for _, id := range ids {
@@ -269,7 +270,7 @@ func (s *Service) recallGroupLeases(p *sim.Proc, ids []vfs.Ino) {
 		}
 		return a.name < b.name
 	})
-	s.revokeLeases(p, nil, keys...)
+	return s.revokeLeases(p, nil, keys...)
 }
 
 // revokeLeases recalls every given key from every holder. Cache
@@ -281,11 +282,13 @@ func (s *Service) recallGroupLeases(p *sim.Proc, ids []vfs.Ino) {
 // the follow-up grant is skipped (the row or dentry died in a racing
 // window) no untracked entry may survive — but it gets no recall
 // message: its notification rides the reply it is already waiting for.
-func (s *Service) revokeLeases(p *sim.Proc, except *Session, keys ...leaseKey) {
+// Returns the number of leases recalled.
+func (s *Service) revokeLeases(p *sim.Proc, except *Session, keys ...leaseKey) int {
 	if !s.leases.enabled() {
-		return
+		return 0
 	}
 	now := p.Now()
+	recalled := 0
 	seen := make(map[*Session]bool)
 	var victims []*Session
 	for _, key := range keys {
@@ -302,15 +305,16 @@ func (s *Service) revokeLeases(p *sim.Proc, except *Session, keys ...leaseKey) {
 			} else {
 				sess.cache.revokeAttr(key.ino)
 			}
-			s.Stats.Revocations++
+			recalled++
 			if !seen[sess] {
 				seen[sess] = true
 				victims = append(victims, sess)
 			}
 		}
 	}
+	s.cluster.ctr.svc.Revocations += int64(recalled)
 	if len(victims) == 0 {
-		return
+		return recalled
 	}
 	s.host.CPU.Release(p)
 	for _, sess := range victims {
@@ -319,4 +323,5 @@ func (s *Service) revokeLeases(p *sim.Proc, except *Session, keys ...leaseKey) {
 		sess.conns[s.shardID].Callback(p, 96, func(p *sim.Proc) {})
 	}
 	s.host.CPU.Acquire(p)
+	return recalled
 }

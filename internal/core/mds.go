@@ -85,6 +85,30 @@ func (m ShardMap) DirTarget(parent vfs.Ino, name string) int {
 // escapes to the VFS surface.
 var ErrWrongEpoch = errors.New("cofs: shard map epoch out of date")
 
+// planeCounters is the plane's counter block. The plane owns it, not the
+// shards, channels and lock table that count into it: those come and go
+// (a shrink drops shards and their channels, a reshard dials new ones),
+// each holding a pointer into the block or reaching it through its
+// cluster, so their counts stay behind with nothing to fold.
+// Standby.Promote hands the demoted plane's block to the promoted one in
+// a single assignment.
+type planeCounters struct {
+	// svc counts service requests and lease recalls, plane-wide.
+	svc ServiceStats
+	// peer is shared by the shard-to-shard channels and the reshard
+	// coordinator's migration channels.
+	peer  rpc.ConnStats
+	locks lock.RowLockStats
+	// reshard counts the resharding activity (mds.reshard-* counters).
+	reshard reshard.Stats
+	// standbyReads counts reads the read-offload standby served;
+	// standbyFallbacks counts those its cursor could not prove fresh,
+	// answered with a redirect the client pays for by retrying at the
+	// primary (mds.standby-reads / mds.standby-fallbacks).
+	standbyReads     int64
+	standbyFallbacks int64
+}
+
 // MDSCluster is the sharded COFS metadata service plane. It exposes the
 // same operation surface the single Service used to, routing each call
 // to its coordinator shard; a deployment with one shard is behaviourally
@@ -128,8 +152,8 @@ type MDSCluster struct {
 	// traffic.
 	reshardHost  *netsim.Host
 	reshardConns []*rpc.Conn
-	// rstats counts the resharding activity (mds.reshard-* counters).
-	rstats reshard.Stats
+	// ctr is the plane's counter block.
+	ctr planeCounters
 	// resharding is Reshard's re-entry latch. The coordinator's ErrBusy
 	// only triggers at Begin, which runs after the plane has already
 	// been grown and its allocators re-pointed; the latch is taken
@@ -137,10 +161,6 @@ type MDSCluster struct {
 	// nothing (the simulation is cooperative: there is no yield between
 	// reading and setting it).
 	resharding bool
-	// priorPeer carries the peer-channel counters of a plane this one
-	// replaced at failover, keeping the per-layer report cumulative
-	// like the client-side counters.
-	priorPeer rpc.ConnStats
 	// hostPrefix names hosts growTo provisions, matching the
 	// AddServiceHosts convention of the plane's deploy ("cofs-mds" for
 	// primaries, "cofs-mds-standby" for standby planes).
@@ -149,10 +169,6 @@ type MDSCluster struct {
 	// (replication.go): a reshard grows and retires them in lockstep so
 	// the standby shape always tracks the current epoch.
 	standbys []*Standby
-	// priorStandbyReads/-Fallbacks carry the standby read counters of a
-	// plane this one replaced at Promote, like priorPeer above.
-	priorStandbyReads     int64
-	priorStandbyFallbacks int64
 	// onReshardStep/reshardSeq drive the crash-injection step hook
 	// (OnReshardStep); recovering suppresses it while recoverReshard
 	// replays an interrupted migration.
@@ -181,22 +197,38 @@ func NewMDSCluster(net *netsim.Net, hosts []*netsim.Host, cfg params.Config) *MD
 	if c.lockShards < 1 {
 		c.lockShards = 1
 	}
-	if len(hosts) > 1 && !cfg.COFS.DisableTxnLocks {
-		c.rowLocks = lock.NewRowLocks(net.Env())
-		c.rowLocks.ExclusiveOnly = cfg.COFS.ExclusiveRowLocks
-	}
 	for i, h := range hosts {
 		c.shards = append(c.shards, newShard(net, h, cfg, c, i))
 	}
+	c.ensureRowLocks()
+	c.dialPeers()
+	return c
+}
+
+// ensureRowLocks creates the plane's row-lock table, counting into the
+// plane's block, once the plane has more than one shard (unless
+// DisableTxnLocks reverts to the unlocked protocol).
+func (c *MDSCluster) ensureRowLocks() {
+	if len(c.shards) > 1 && c.rowLocks == nil && !c.cfg.DisableTxnLocks {
+		c.rowLocks = lock.NewRowLocks(c.net.Env(), &c.ctr.locks)
+		c.rowLocks.ExclusiveOnly = c.cfg.ExclusiveRowLocks
+		c.wireLockObs()
+	}
+}
+
+// dialPeers completes the shard-to-shard channel mesh, every channel
+// counting into the plane's block.
+func (c *MDSCluster) dialPeers() {
 	for _, s := range c.shards {
-		s.peers = make([]*rpc.Conn, len(c.shards))
+		for len(s.peers) < len(c.shards) {
+			s.peers = append(s.peers, nil)
+		}
 		for j, t := range c.shards {
-			if t != s {
-				s.peers[j] = rpc.Dial(net, s.host, t.host, cfg.COFS.RPCBatch)
+			if t != s && s.peers[j] == nil {
+				s.peers[j] = rpc.Dial(c.net, s.host, t.host, c.cfg.RPCBatch, &c.ctr.peer)
 			}
 		}
 	}
-	return c
 }
 
 // Shards returns the shard services in shard-id order (tooling/tests).
@@ -226,7 +258,7 @@ func (c *MDSCluster) dirTarget(parent vfs.Ino, name string) int {
 func (c *MDSCluster) shard(ino vfs.Ino) *Service { return c.shards[c.Of(ino)] }
 
 // ReshardStats returns the plane's resharding counters.
-func (c *MDSCluster) ReshardStats() reshard.Stats { return c.rstats }
+func (c *MDSCluster) ReshardStats() reshard.Stats { return c.ctr.reshard }
 
 // readStandby returns the standby plane that offloads this primary's
 // reads, nil when none was deployed with COFSParams.StandbyReads. The
@@ -242,16 +274,10 @@ func (c *MDSCluster) readStandby() *Standby {
 	return nil
 }
 
-// StandbyReadStats sums the standby-served read and fallback counters
-// across the plane's standbys, including planes this one replaced at
-// Promote.
+// StandbyReadStats returns the plane's standby-served read and
+// fallback counters.
 func (c *MDSCluster) StandbyReadStats() (reads, fallbacks int64) {
-	reads, fallbacks = c.priorStandbyReads, c.priorStandbyFallbacks
-	for _, sb := range c.standbys {
-		reads += sb.Reads
-		fallbacks += sb.Fallbacks
-	}
-	return reads, fallbacks
+	return c.ctr.standbyReads, c.ctr.standbyFallbacks
 }
 
 // StoreName reports which store backend the plane's shards deploy
@@ -511,50 +537,20 @@ func (c *MDSCluster) AdoptIDCounter() {
 	}
 }
 
-// Stats aggregates the per-shard service counters.
-func (c *MDSCluster) Stats() ServiceStats {
-	var out ServiceStats
-	for _, s := range c.shards {
-		out.Requests += s.Stats.Requests
-		out.Creates += s.Stats.Creates
-		out.Lookups += s.Stats.Lookups
-		out.Getattrs += s.Stats.Getattrs
-		out.Updates += s.Stats.Updates
-		out.Removes += s.Stats.Removes
-		out.PeerCalls += s.Stats.PeerCalls
-		out.Revocations += s.Stats.Revocations
-	}
-	return out
-}
+// Stats returns the plane's service counters, summed over every shard
+// it has run (retired shards included).
+func (c *MDSCluster) Stats() ServiceStats { return c.ctr.svc }
 
 // LockStats returns the plane's row-lock counters: locks taken, grants
 // taken Shared, in-place Shared→Exclusive upgrades, acquisitions that
-// had to wait, and the virtual time spent waiting (all zero on an
-// unsharded plane or with DisableTxnLocks set).
-func (c *MDSCluster) LockStats() lock.RowLockStats {
-	if c.rowLocks == nil {
-		return lock.RowLockStats{}
-	}
-	return c.rowLocks.Stats
-}
+// had to wait, and the virtual time spent waiting (all zero on a plane
+// that never ran the row-lock layer).
+func (c *MDSCluster) LockStats() lock.RowLockStats { return c.ctr.locks }
 
-// PeerTransportStats aggregates the shard-to-shard channel counters of
-// the two-phase protocol across the plane, including the migration
-// channels of any reshard.
-func (c *MDSCluster) PeerTransportStats() rpc.ConnStats {
-	out := c.priorPeer
-	for _, s := range c.shards {
-		for _, pc := range s.peers {
-			if pc != nil {
-				out.Add(pc.Stats)
-			}
-		}
-	}
-	for _, rc := range c.reshardConns {
-		out.Add(rc.Stats)
-	}
-	return out
-}
+// PeerTransportStats returns the plane's shard-to-shard channel
+// counters of the two-phase protocol, including the migration channels
+// of any reshard.
+func (c *MDSCluster) PeerTransportStats() rpc.ConnStats { return c.ctr.peer }
 
 // WALLen reports the plane's owned log length (cofsctl): each shard's
 // WAL net of migration bookkeeping, so a handed-off record counts

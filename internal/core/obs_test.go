@@ -3,6 +3,7 @@ package core_test
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -282,5 +283,111 @@ func TestCountersCumulativeAcrossPromote(t *testing.T) {
 	post := d.Counters().Get("mds.requests")
 	if post <= pre {
 		t.Fatalf("mds.requests reset at failover: %d before, %d after (+20 stats served)", pre, post)
+	}
+}
+
+// TestCountersStableAcrossPromoteAfterShrink: a promotion is not work.
+// After a 4→2 shrink with a standby attached — the standby plane
+// retires its own drained shards in lockstep — promoting the standby
+// with nothing in between must leave every deployment counter exactly
+// where it stood. In particular mds.reshard-retired must not count the
+// standby's lockstep retirements on top of the primary's.
+func TestCountersStableAcrossPromoteAfterShrink(t *testing.T) {
+	tb, d := crashRig(t, 7142, 4)
+	sb := core.DeployStandby(tb, d, time.Millisecond)
+	tb.Run()
+	buildTree(t, tb, d, 16, 48)
+	step(tb, "shrink", func(p *sim.Proc) {
+		if err := d.Service.Reshard(p, 2); err != nil {
+			t.Errorf("reshard: %v", err)
+		}
+	})
+	before := d.Counters()
+	if got := before.Get("mds.reshard-retired"); got != 2 {
+		t.Fatalf("mds.reshard-retired = %d after a 4→2 shrink, want 2", got)
+	}
+	d.Service.Crash()
+	sb.Promote(d)
+	after := d.Counters()
+	if !reflect.DeepEqual(after.Names(), before.Names()) {
+		t.Fatalf("counter names changed across promote:\n got %v\nwant %v", after.Names(), before.Names())
+	}
+	for _, name := range before.Names() {
+		if b, a := before.Get(name), after.Get(name); a != b {
+			t.Errorf("%s = %d before promote, %d after (no work in between)", name, b, a)
+		}
+	}
+}
+
+// TestCountersMonotonicThroughShrink: every deployment counter only
+// ever grows while a 4→2 shrink drops session channels, standby
+// channels, peer channels and reshard channels under live traffic. The
+// counters are sampled at every migration step point and once more
+// after the map settles (when the drained shards' channels are gone).
+func TestCountersMonotonicThroughShrink(t *testing.T) {
+	tb, d := reshardRig(t, 7150, 3, 4, func(cfg *params.Config) {
+		cfg.COFS.ReshardBatchRows = 4
+		cfg.COFS.StandbyReads = true
+	})
+	core.DeployStandby(tb, d, time.Millisecond)
+	tb.Run()
+	paths := buildTree(t, tb, d, 16, 48)
+	statAll := func(name string, node int) {
+		step(tb, name, func(p *sim.Proc) {
+			for _, path := range paths {
+				if _, err := d.Mounts[node].Stat(p, cluster.Ctx(node, 1), path); err != nil {
+					t.Errorf("%s: stat %s: %v", name, path, err)
+					return
+				}
+			}
+		})
+	}
+	statAll("warm", 2)
+	last := d.Counters()
+	for _, name := range []string{"mds.standby-reads", "rpc.peer.calls", "rpc.client.calls", "mds.requests"} {
+		if last.Get(name) == 0 {
+			t.Fatalf("%s = 0 before the shrink: the channels it drops carry nothing", name)
+		}
+	}
+	samples := 0
+	check := func(at string) {
+		t.Helper()
+		cur := d.Counters()
+		for _, name := range last.Names() {
+			if b, a := last.Get(name), cur.Get(name); a < b {
+				t.Errorf("%s: %s dropped from %d to %d", at, name, b, a)
+			}
+		}
+		last = cur
+		samples++
+	}
+	d.Service.OnReshardStep(func(seq int, at core.ReshardPoint) bool {
+		check(fmt.Sprintf("step %d (%s)", seq, at))
+		return false
+	})
+	for node := 1; node < 3; node++ {
+		node := node
+		tb.Env.Spawn("reader", func(p *sim.Proc) {
+			for _, path := range paths {
+				if _, err := d.Mounts[node].Stat(p, cluster.Ctx(node, 2), path); err != nil {
+					t.Errorf("stat %s during shrink: %v", path, err)
+					return
+				}
+			}
+		})
+	}
+	step(tb, "shrink", func(p *sim.Proc) {
+		if err := d.Service.Reshard(p, 2); err != nil {
+			t.Errorf("reshard: %v", err)
+		}
+	})
+	if samples == 0 {
+		t.Fatal("the shrink fired no step points")
+	}
+	check("settled")
+	statAll("post", 2)
+	check("post-settle reads")
+	if got := last.Get("mds.reshard-retired"); got != 2 {
+		t.Errorf("mds.reshard-retired = %d, want 2", got)
 	}
 }

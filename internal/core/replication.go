@@ -5,9 +5,7 @@ import (
 
 	"cofs/internal/cluster"
 	"cofs/internal/mdb"
-	"cofs/internal/rpc"
 	"cofs/internal/sim"
-	"cofs/internal/stats"
 	"cofs/internal/vfs"
 )
 
@@ -51,13 +49,6 @@ type Standby struct {
 	// settleReshard clears it).
 	serveReads bool
 	paused     bool
-
-	// Reads counts reads served from the standby plane; Fallbacks
-	// counts reads the cursor could not prove fresh, answered with a
-	// redirect the client pays for by retrying at the primary
-	// (mds.standby-reads / mds.standby-fallbacks).
-	Reads     int64
-	Fallbacks int64
 }
 
 // DeployStandby attaches a standby metadata plane to a running COFS
@@ -97,8 +88,7 @@ func DeployStandby(tb *cluster.Testbed, d *Deployment, delay time.Duration) *Sta
 		sb.serveReads = true
 		for _, sess := range d.Service.sessions {
 			for _, s := range sc.shards {
-				sess.sbconns = append(sess.sbconns,
-					rpc.Dial(s.net, sess.host, s.host, tb.Cfg.COFS.RPCBatch))
+				sess.sbconns = append(sess.sbconns, sess.dial(s))
 			}
 			// Re-wire so the fresh standby channels trace like the rest.
 			d.Service.wireSessionObs(sess)
@@ -128,8 +118,7 @@ func (sb *Standby) grow(primary *MDSCluster) {
 				continue
 			}
 			for i := old; i < len(sc.shards); i++ {
-				sess.sbconns = append(sess.sbconns,
-					rpc.Dial(sc.net, sess.host, sc.shards[i].host, sc.cfg.RPCBatch))
+				sess.sbconns = append(sess.sbconns, sess.dial(sc.shards[i]))
 			}
 			primary.wireSessionObs(sess)
 		}
@@ -141,7 +130,7 @@ func (sb *Standby) grow(primary *MDSCluster) {
 // the source's final delete commits — is drained synchronously first,
 // so the standby's drained shards end as empty as the primary's, then
 // the standby shards themselves retire (hosts released, channels
-// folded).
+// dropped).
 func (sb *Standby) retire(p *sim.Proc, n int) {
 	for i := n; i < len(sb.Replicas); i++ {
 		sb.Replicas[i].Flush(p)
@@ -151,17 +140,10 @@ func (sb *Standby) retire(p *sim.Proc, n int) {
 		sb.Replicas = sb.Replicas[:n]
 	}
 	if sb.serveReads {
-		// Fold the retired standby channels' counters like the primary
-		// channels next to them, so the transport report stays
-		// cumulative.
 		for _, sess := range sb.primary.sessions {
-			if len(sess.sbconns) <= n {
-				continue
+			if len(sess.sbconns) > n {
+				sess.sbconns = sess.sbconns[:n]
 			}
-			for _, c := range sess.sbconns[n:] {
-				sess.prior.Add(c.Stats)
-			}
-			sess.sbconns = sess.sbconns[:n]
 		}
 	}
 	sb.Cluster.retireDrained(p)
@@ -222,17 +204,11 @@ func (sb *Standby) Promote(d *Deployment) int {
 	for _, fs := range d.FSs {
 		fs.SetService(sc)
 	}
-	// Keep the per-layer transport report cumulative across the
-	// switch, as the per-session counters already are.
-	sc.priorPeer = d.Service.PeerTransportStats()
-	sc.priorStandbyReads, sc.priorStandbyFallbacks = d.Service.StandbyReadStats()
-	// The service-plane counters (requests, locks, reshard accounting)
-	// have no prior-folding of their own: snapshot the demoted plane's
-	// set for Deployment.Counters to merge back in.
-	if d.retired == nil {
-		d.retired = stats.NewCounters()
-	}
-	d.retired.Merge(serviceCounters(d.Service))
+	// The promoted plane takes over the demoted plane's counter block,
+	// so the deployment's counters carry on from where they stood. The
+	// standby plane's own counts (its lockstep retirements, say) are
+	// not the deployment's work and are dropped.
+	sc.ctr = d.Service.ctr
 	d.Service = sc
 	if cur.Migrating() {
 		sc.net.Env().Spawn("promote-reshard-recover", func(p *sim.Proc) {
@@ -275,15 +251,13 @@ func (s *Service) AdoptIDCounter() {
 }
 
 // SetService repoints this client at a different metadata plane
-// (failover): a fresh session (new per-shard RPC channels) is dialed
-// and the client cache is purged — the new plane may have lost a
-// shipping window's worth of transactions, cached attributes must not
-// outlive the state that backed them, and any leases were granted by
-// the dead plane.
+// (failover): a fresh session (new per-shard RPC channels, counting
+// into the client's transport block) is dialed and the client cache is
+// purged — the new plane may have lost a shipping window's worth of
+// transactions, cached attributes must not outlive the state that
+// backed them, and any leases were granted by the dead plane.
 func (f *FS) SetService(svc *MDSCluster) {
-	old := f.sess
 	f.svc = svc
-	f.sess = svc.Connect(f.host, f.node, f.attrs)
-	f.sess.prior = old.TransportStats()
+	f.sess = svc.Connect(f.host, f.node, f.attrs, &f.transport)
 	f.attrs.purge()
 }

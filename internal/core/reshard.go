@@ -173,7 +173,7 @@ func (c *MDSCluster) Reshard(p *sim.Proc, n int) error {
 		c.resumeStandbyReads()
 		return err
 	}
-	c.rstats.Epochs++
+	c.ctr.reshard.Epochs++
 	for i := len(c.shards) - 1; i >= 0; i-- {
 		c.shards[i].DB.Thaw(p)
 	}
@@ -219,8 +219,8 @@ func (c *MDSCluster) runMigration(p *sim.Proc, moves []reshard.Move) error {
 // drained shards are checked empty and then retired.
 func (c *MDSCluster) settleReshard(p *sim.Proc) error {
 	c.Maps.Finish()
-	c.rstats.Epochs++
-	c.rstats.Reshards++
+	c.ctr.reshard.Epochs++
+	c.ctr.reshard.Reshards++
 
 	// A drained shard owns nothing now and nothing routes to it; its
 	// tables must be empty (newborns were never born there, and every
@@ -250,24 +250,11 @@ func (c *MDSCluster) growTo(n int) {
 		host := c.net.AddHost(fmt.Sprintf("%s%d", c.hostPrefix, i), c.cfg.ServiceWorkers, 0)
 		c.shards = append(c.shards, newShard(c.net, host, c.full, c, i))
 	}
-	if len(c.shards) > 1 && c.rowLocks == nil && !c.cfg.DisableTxnLocks {
-		c.rowLocks = lock.NewRowLocks(c.net.Env())
-		c.rowLocks.ExclusiveOnly = c.cfg.ExclusiveRowLocks
-		c.wireLockObs()
-	}
-	for _, s := range c.shards {
-		for len(s.peers) < len(c.shards) {
-			s.peers = append(s.peers, nil)
-		}
-		for j, t := range c.shards {
-			if t != s && s.peers[j] == nil {
-				s.peers[j] = rpc.Dial(c.net, s.host, t.host, c.cfg.RPCBatch)
-			}
-		}
-	}
+	c.ensureRowLocks()
+	c.dialPeers()
 	for _, sess := range c.sessions {
 		for i := len(sess.conns); i < len(c.shards); i++ {
-			sess.conns = append(sess.conns, rpc.Dial(c.net, sess.host, c.shards[i].host, c.cfg.RPCBatch))
+			sess.conns = append(sess.conns, sess.dial(c.shards[i]))
 		}
 	}
 	if c.obs != nil {
@@ -297,7 +284,7 @@ func (c *MDSCluster) ensureReshardRig() {
 		c.reshardHost = c.net.AddHost("cofs-reshard", 1, 0)
 	}
 	for i := len(c.reshardConns); i < len(c.shards); i++ {
-		conn := rpc.Dial(c.net, c.reshardHost, c.shards[i].host, false)
+		conn := rpc.Dial(c.net, c.reshardHost, c.shards[i].host, false, &c.ctr.peer)
 		if c.obs != nil {
 			conn.Trace = c.obs.tr
 		}
@@ -307,48 +294,29 @@ func (c *MDSCluster) ensureReshardRig() {
 
 // retireDrained completes a shrink after the map settles: the drained
 // shards — empty, unrouted, owning nothing — leave the plane entirely.
-// Sessions drop their channels to them (folding the channel counters
-// into the session's cumulative prior, the same convention failover
-// re-dials use), surviving shards drop their peer channels, attached
-// standby planes drain and stop their shipping, and the hosts are
-// released back to the testbed. A no-op unless shards were drained.
+// Sessions drop their channels to them, surviving shards drop their
+// peer channels, attached standby planes drain and stop their shipping,
+// and the hosts are released back to the testbed. The dropped channels'
+// counts stay in the blocks they counted into (the client's and the
+// plane's). A no-op unless shards were drained.
 func (c *MDSCluster) retireDrained(p *sim.Proc) {
 	n := c.Maps.Current().Target()
 	if n < 1 || n >= len(c.shards) {
 		return
 	}
 	for _, sess := range c.sessions {
-		if len(sess.conns) <= n {
-			continue
+		if len(sess.conns) > n {
+			sess.conns = sess.conns[:n]
 		}
-		for _, conn := range sess.conns[n:] {
-			sess.prior.Add(conn.Stats)
-		}
-		sess.conns = sess.conns[:n]
 	}
 	for i, s := range c.shards {
-		if i < n {
-			for j := n; j < len(s.peers); j++ {
-				if s.peers[j] != nil {
-					c.priorPeer.Add(s.peers[j].Stats)
-				}
-			}
-			if len(s.peers) > n {
-				s.peers = s.peers[:n]
-			}
-		} else {
-			for _, pc := range s.peers {
-				if pc != nil {
-					c.priorPeer.Add(pc.Stats)
-				}
-			}
+		if i >= n {
 			s.peers = nil
+		} else if len(s.peers) > n {
+			s.peers = s.peers[:n]
 		}
 	}
 	if len(c.reshardConns) > n {
-		for _, rc := range c.reshardConns[n:] {
-			c.priorPeer.Add(rc.Stats)
-		}
 		c.reshardConns = c.reshardConns[:n]
 	}
 	for _, sb := range c.standbys {
@@ -356,7 +324,7 @@ func (c *MDSCluster) retireDrained(p *sim.Proc) {
 	}
 	for i := n; i < len(c.shards); i++ {
 		c.net.ReleaseHost(c.shards[i].host)
-		c.rstats.Retired++
+		c.ctr.reshard.Retired++
 	}
 	c.shards = c.shards[:n]
 }
@@ -458,7 +426,7 @@ func readGroups(p *sim.Proc, from *Service, ids []vfs.Ino) (movedRows, *mdb.Hand
 // non-blocking-server discipline (the source's scheduler thread is
 // released for the flight).
 func (c *MDSCluster) shipHandoff(p *sim.Proc, from, to *Service, freight movedRows, handoff *mdb.Handoff) {
-	from.Stats.PeerCalls++
+	c.ctr.svc.PeerCalls++
 	open := to.span(p, "reshard.handoff")
 	defer to.spanEnd(p, open)
 	from.host.CPU.Release(p)
@@ -470,7 +438,7 @@ func (c *MDSCluster) shipHandoff(p *sim.Proc, from, to *Service, freight movedRo
 		RespFixed: 64,
 	})
 	from.host.CPU.Acquire(p)
-	c.rstats.HandoffRecords += int64(handoff.Len())
+	c.ctr.reshard.HandoffRecords += int64(handoff.Len())
 }
 
 // deleteGroups removes the freight's rows from the source in one
@@ -523,11 +491,11 @@ func (c *MDSCluster) movePair(p *sim.Proc, src, dst int, ids []vfs.Ino) error {
 			c.Maps.Commit(groups)
 			to.DB.SealHandoff(handoff.Len())
 			from.DB.RetireHandoff(handoff.Len())
-			c.rstats.Epochs++
-			c.rstats.GroupsMoved += int64(len(groups))
+			c.ctr.reshard.Epochs++
+			c.ctr.reshard.GroupsMoved += int64(len(groups))
 			rows := freight.rows()
-			c.rstats.RowsMoved += rows
-			c.rstats.BytesMoved += freight.bytes
+			c.ctr.reshard.RowsMoved += rows
+			c.ctr.reshard.BytesMoved += freight.bytes
 			if c.obs != nil && c.obs.m != nil {
 				// Feed the destination's row-move window: arriving rows
 				// are the rebalance cost the skew controller weighs.
@@ -541,9 +509,7 @@ func (c *MDSCluster) movePair(p *sim.Proc, src, dst int, ids []vfs.Ino) error {
 			// moved groups — attribute, positive and negative dentry
 			// leases alike (a stale negative would otherwise hide a name
 			// created later at the target).
-			before := from.Stats.Revocations
-			from.recallGroupLeases(p, ids)
-			c.rstats.Recalls += from.Stats.Revocations - before
+			c.ctr.reshard.Recalls += int64(from.recallGroupLeases(p, ids))
 			interrupted = c.stepAbort(ReshardDeleted)
 		},
 		RespFixed: 64,
@@ -672,8 +638,8 @@ func (c *MDSCluster) rollForward(p *sim.Proc, src, dst int, ids []vfs.Ino) {
 			c.shipHandoff(p, from, to, freight, handoff)
 			to.DB.SealHandoff(handoff.Len())
 			from.DB.RetireHandoff(handoff.Len())
-			c.rstats.RowsMoved += freight.rows()
-			c.rstats.BytesMoved += freight.bytes
+			c.ctr.reshard.RowsMoved += freight.rows()
+			c.ctr.reshard.BytesMoved += freight.bytes
 			deleteGroups(p, from, freight)
 		},
 		RespFixed: 64,

@@ -76,7 +76,8 @@ type dentryRow struct {
 // parentIndexKey renders the index bucket for a directory.
 func parentIndexKey(dir vfs.Ino) string { return strconv.FormatUint(uint64(dir), 10) }
 
-// ServiceStats aggregates service-side counters.
+// ServiceStats aggregates service-side counters over a plane's shards
+// (kept in the plane's counter block, planeCounters).
 type ServiceStats struct {
 	Requests int64
 	Creates  int64
@@ -84,10 +85,10 @@ type ServiceStats struct {
 	Getattrs int64
 	Updates  int64
 	Removes  int64
-	// PeerCalls counts shard-to-shard RPCs this shard coordinated
+	// PeerCalls counts shard-to-shard RPCs the shards coordinated
 	// (always 0 on a single-shard deployment).
 	PeerCalls int64
-	// Revocations counts client lease recalls this shard issued
+	// Revocations counts client lease recalls the shards issued
 	// (always 0 unless COFSParams.AttrLease is set).
 	Revocations int64
 }
@@ -130,8 +131,6 @@ type Service struct {
 	// peers are this shard's channels to the other shards of the plane
 	// (two-phase protocol traffic), indexed by shard id; nil for self.
 	peers []*rpc.Conn
-
-	Stats ServiceStats
 }
 
 // newShard creates metadata shard shardID of cluster c on host, with its
@@ -215,7 +214,7 @@ func (s *Service) claim(ino vfs.Ino) error {
 	if s.owns(ino) {
 		return nil
 	}
-	s.cluster.rstats.Redirects++
+	s.cluster.ctr.reshard.Redirects++
 	return ErrWrongEpoch
 }
 
@@ -269,7 +268,7 @@ func callRead[T any](p *sim.Proc, s *Service, sess *Session, op rpc.Op, req, res
 }
 
 func callCPU[T any](p *sim.Proc, s *Service, sess *Session, op rpc.Op, req, resp int64, cpu time.Duration, fn func(p *sim.Proc) T) T {
-	s.Stats.Requests++
+	s.cluster.ctr.svc.Requests++
 	var out T
 	sess.conns[s.shardID].Call(p, rpc.Request{
 		Op: op, ReqBytes: req, CPU: cpu, RespFixed: resp,
@@ -281,7 +280,7 @@ func callCPU[T any](p *sim.Proc, s *Service, sess *Session, op rpc.Op, req, resp
 // callDyn is callCPU with the response size computed from the handler's
 // result (directory listings).
 func callDyn[T any](p *sim.Proc, s *Service, sess *Session, op rpc.Op, req int64, cpu time.Duration, fn func(p *sim.Proc) T, resp func(T) int64) T {
-	s.Stats.Requests++
+	s.cluster.ctr.svc.Requests++
 	var out T
 	sess.conns[s.shardID].Call(p, rpc.Request{
 		Op: op, ReqBytes: req, CPU: cpu,
@@ -303,7 +302,7 @@ func peerCall[T any](p *sim.Proc, from, to *Service, req, resp int64, cpu time.D
 	if from == to {
 		return fn(p)
 	}
-	from.Stats.PeerCalls++
+	from.cluster.ctr.svc.PeerCalls++
 	from.host.CPU.Release(p)
 	var out T
 	from.peers[to.shardID].Call(p, rpc.Request{
@@ -326,7 +325,7 @@ type attrReply struct {
 // half of the resharding contract). Otherwise fallback stands.
 func (s *Service) missErr(ino vfs.Ino, fallback error) error {
 	if !s.owns(ino) {
-		s.cluster.rstats.Redirects++
+		s.cluster.ctr.reshard.Redirects++
 		return ErrWrongEpoch
 	}
 	return fallback
@@ -336,7 +335,7 @@ func (s *Service) missErr(ino vfs.Ino, fallback error) error {
 // With leases enabled a successful resolution grants the caller a
 // dentry + attribute lease, and a clean miss grants a negative dentry.
 func (s *Service) Lookup(p *sim.Proc, sess *Session, parent vfs.Ino, name string) (vfs.Attr, error) {
-	s.Stats.Lookups++
+	s.cluster.ctr.svc.Lookups++
 	r := callRead(p, s, sess, rpc.OpLookup, 128, 192, func(p *sim.Proc) attrReply {
 		if err := s.claim(parent); err != nil {
 			return attrReply{err: err}
@@ -391,7 +390,7 @@ func (s *Service) Lookup(p *sim.Proc, sess *Session, parent vfs.Ino, name string
 
 // Getattr returns the attributes of id.
 func (s *Service) Getattr(p *sim.Proc, sess *Session, id vfs.Ino) (vfs.Attr, error) {
-	s.Stats.Getattrs++
+	s.cluster.ctr.svc.Getattrs++
 	r := callRead(p, s, sess, rpc.OpGetattr, 96, 192, func(p *sim.Proc) attrReply {
 		if err := s.claim(id); err != nil {
 			return attrReply{err: err}
@@ -410,7 +409,7 @@ func (s *Service) Getattr(p *sim.Proc, sess *Session, id vfs.Ino) (vfs.Attr, err
 // The reply carries a regular file's underlying path, so a truncating
 // client can forward the new size without another lookup.
 func (s *Service) Setattr(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino, set vfs.SetAttr) (vfs.Attr, string, error) {
-	s.Stats.Updates++
+	s.cluster.ctr.svc.Updates++
 	return s.updateRow(p, sess, rpc.OpSetattr, id, func(row *inodeRow) error {
 		if set.HasMode && ctx.UID != 0 && ctx.UID != row.UID {
 			return vfs.ErrPerm
@@ -544,7 +543,7 @@ func (s *Service) allocSite(t vfs.FileType, parent vfs.Ino, name string) *Servic
 // transaction commits durably (the service's ext3-backed log,
 // group-committed across clients).
 func (s *Service) Create(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino, name string, t vfs.FileType, mode uint32, bucket, target string) (vfs.Attr, string, error) {
-	s.Stats.Creates++
+	s.cluster.ctr.svc.Creates++
 	// New files and symlinks allocate from this shard's stride, so the
 	// whole create commits locally. New directories place by the shard
 	// map's DirTarget; when that is a different shard — or when a live
@@ -577,7 +576,7 @@ func (s *Service) Create(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino
 			// A shrink began while this request was in flight and
 			// drained the allocator: redirect — the retry re-routes
 			// through allocSite and takes the remote-create path.
-			s.cluster.rstats.Redirects++
+			s.cluster.ctr.reshard.Redirects++
 			out.err = ErrWrongEpoch
 			return out
 		}
@@ -698,7 +697,7 @@ type removeReply struct {
 // whose last link went away, the underlying path to delete; rmdir
 // requires an empty directory.
 func (s *Service) Remove(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino, name string, rmdir bool) (string, vfs.Ino, error) {
-	s.Stats.Removes++
+	s.cluster.ctr.svc.Removes++
 	if s.sharded() {
 		return s.removeSharded(p, sess, ctx, parent, name, rmdir)
 	}
@@ -1029,7 +1028,7 @@ func (s *Service) Readdir(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.Ino) 
 // WriteBack records a writer's size/mtime at close (close-to-open
 // consistency for attributes the service serves from its tables).
 func (s *Service) WriteBack(p *sim.Proc, sess *Session, id vfs.Ino, size int64, mtime time.Duration) error {
-	s.Stats.Updates++
+	s.cluster.ctr.svc.Updates++
 	_, _, err := s.updateRow(p, sess, rpc.OpWriteBack, id, func(row *inodeRow) error {
 		if row.Type != vfs.TypeRegular {
 			return vfs.ErrInvalid

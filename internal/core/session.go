@@ -29,29 +29,36 @@ type Session struct {
 	// shard redirects with ErrWrongEpoch, so with no migration in
 	// flight the session shares the plane's settled version forever.
 	view *reshard.Map
-	// prior carries the transport counters of sessions this one
-	// replaced (failover re-dial), so the per-layer report stays
-	// cumulative like the cache counters next to it.
-	prior rpc.ConnStats
+	// stats is the client's transport counter block (FS.transport).
+	// Every channel the session dials counts into it, so the counts
+	// outlive the channels: a shrink dropping some, a failover
+	// re-dialing the whole session.
+	stats *rpc.ConnStats
 }
 
 // Connect attaches a client to the plane: one channel per shard,
-// batching per the plane's RPCBatch knob. The cache is the client's
-// attribute/dentry cache; shards install lease-granted entries into it
-// and recall them on conflicting mutations.
-func (c *MDSCluster) Connect(host *netsim.Host, node int, cache *clientCache) *Session {
-	sess := &Session{node: node, host: host, cache: cache, view: c.Maps.Current()}
+// batching per the plane's RPCBatch knob, each counting into stats.
+// The cache is the client's attribute/dentry cache; shards install
+// lease-granted entries into it and recall them on conflicting
+// mutations.
+func (c *MDSCluster) Connect(host *netsim.Host, node int, cache *clientCache, stats *rpc.ConnStats) *Session {
+	sess := &Session{node: node, host: host, cache: cache, view: c.Maps.Current(), stats: stats}
 	for _, s := range c.shards {
-		sess.conns = append(sess.conns, rpc.Dial(s.net, host, s.host, c.cfg.RPCBatch))
+		sess.conns = append(sess.conns, sess.dial(s))
 	}
 	if sb := c.readStandby(); sb != nil {
 		for _, s := range sb.Cluster.shards {
-			sess.sbconns = append(sess.sbconns, rpc.Dial(s.net, host, s.host, c.cfg.RPCBatch))
+			sess.sbconns = append(sess.sbconns, sess.dial(s))
 		}
 	}
 	c.sessions = append(c.sessions, sess)
 	c.wireSessionObs(sess)
 	return sess
+}
+
+// dial opens the session's channel to shard s (primary or standby).
+func (sess *Session) dial(s *Service) *rpc.Conn {
+	return rpc.Dial(s.net, sess.host, s.host, s.cfg.RPCBatch, sess.stats)
 }
 
 // mapView returns the shard-map version this session routes by. With
@@ -71,7 +78,7 @@ func (sess *Session) mapView(c *MDSCluster) *reshard.Map {
 // (modelled as a bitmap over the ids below the newborn boundary), so a
 // refetch mid-migration costs what shipping the version really would.
 func (sess *Session) refetchMap(p *sim.Proc, c *MDSCluster) {
-	c.rstats.Refetches++
+	c.ctr.reshard.Refetches++
 	sess.conns[0].Call(p, rpc.Request{
 		Op: rpc.OpMapFetch, ReqBytes: 32, CPU: c.cfg.ServiceCPUPerOp / 4,
 		Run: func(p *sim.Proc) { sess.view = c.Maps.Current() },
@@ -81,15 +88,7 @@ func (sess *Session) refetchMap(p *sim.Proc, c *MDSCluster) {
 	})
 }
 
-// TransportStats aggregates the session's per-shard channel counters,
-// including those of any session it replaced at failover.
-func (sess *Session) TransportStats() rpc.ConnStats {
-	out := sess.prior
-	for _, c := range sess.conns {
-		out.Add(c.Stats)
-	}
-	for _, c := range sess.sbconns {
-		out.Add(c.Stats)
-	}
-	return out
-}
+// TransportStats returns the client's transport counters: every
+// channel this session, and any session it replaced at failover, has
+// dialed counts into the same block.
+func (sess *Session) TransportStats() rpc.ConnStats { return *sess.stats }

@@ -40,6 +40,18 @@ func standbyReadsRig(t *testing.T, seed int64, shards int, delay time.Duration) 
 	return tb, d, sb
 }
 
+// standbyReads and standbyFallbacks read the serving plane's standby
+// read counters.
+func standbyReads(d *core.Deployment) int64 {
+	r, _ := d.Service.StandbyReadStats()
+	return r
+}
+
+func standbyFallbacks(d *core.Deployment) int64 {
+	_, f := d.Service.StandbyReadStats()
+	return f
+}
+
 // TestStandbyReadsCoherence runs cross-node mutation scenarios at every
 // shipping delay: node B mutates, node A must observe the mutation
 // immediately — whether its read happens inside the shipping window
@@ -53,7 +65,7 @@ func TestStandbyReadsCoherence(t *testing.T) {
 		for di, delay := range delays {
 			shards, delay := shards, delay
 			t.Run(fmt.Sprintf("%dshards/delay-%s", shards, delay), func(t *testing.T) {
-				tb, d, sb := standbyReadsRig(t, 1000+int64(shards)*10+int64(di), shards, delay)
+				tb, d, _ := standbyReadsRig(t, 1000+int64(shards)*10+int64(di), shards, delay)
 				A, B, C := d.Mounts[0], d.Mounts[1], d.Mounts[2]
 				ctxA, ctxB, ctxC := cluster.Ctx(0, 1), cluster.Ctx(1, 1), cluster.Ctx(2, 1)
 
@@ -118,7 +130,7 @@ func TestStandbyReadsCoherence(t *testing.T) {
 				// and the drained standby serves them — and they must equal
 				// the primary's authoritative state.
 				tb.Run()
-				served := sb.Reads
+				served := standbyReads(d)
 				step(tb, "verify-after-drain", func(p *sim.Proc) {
 					if attr, err := C.Stat(p, ctxC, "/d/chmod"); err != nil || attr.Mode != 0600 {
 						t.Errorf("drained standby read wrong mode: %o, %v", attr.Mode, err)
@@ -137,9 +149,9 @@ func TestStandbyReadsCoherence(t *testing.T) {
 						t.Errorf("drained standby readdir: %d entries, %v (want 4)", len(ents), err)
 					}
 				})
-				if sb.Reads == served {
+				if standbyReads(d) == served {
 					t.Errorf("cold-cache reads after drain served none from the standby (reads=%d fallbacks=%d): battery is vacuous",
-						sb.Reads, sb.Fallbacks)
+						standbyReads(d), standbyFallbacks(d))
 				}
 				if err := d.Service.CheckInvariants(); err != nil {
 					t.Fatal(err)
@@ -163,7 +175,7 @@ func TestStandbyReadsUnderConcurrency(t *testing.T) {
 	for _, delay := range []time.Duration{time.Millisecond, 25 * time.Millisecond} {
 		delay := delay
 		t.Run(fmt.Sprintf("delay-%s", delay), func(t *testing.T) {
-			tb, d, sb := standbyReadsRig(t, 2000+int64(delay/time.Millisecond), 2, delay)
+			tb, d, _ := standbyReadsRig(t, 2000+int64(delay/time.Millisecond), 2, delay)
 			step(tb, "setup", func(p *sim.Proc) {
 				for _, dir := range []string{"/w", "/v"} {
 					if err := d.Mounts[0].Mkdir(p, cluster.Ctx(0, 1), dir, 0777); err != nil {
@@ -216,8 +228,8 @@ func TestStandbyReadsUnderConcurrency(t *testing.T) {
 					t.Fatalf("round %d: %v", round, err)
 				}
 			}
-			if sb.Reads == 0 {
-				t.Fatalf("storm served no standby reads (fallbacks=%d): knob not exercised", sb.Fallbacks)
+			if standbyReads(d) == 0 {
+				t.Fatalf("storm served no standby reads (fallbacks=%d): knob not exercised", standbyFallbacks(d))
 			}
 		})
 	}
@@ -230,7 +242,7 @@ func TestStandbyReadsUnderConcurrency(t *testing.T) {
 // back — and once the rebuild drains, standby serving must resume with
 // the recovered (possibly rolled-back) state, never the pre-crash one.
 func TestStandbyReadsAcrossPrimaryCrash(t *testing.T) {
-	tb, d, sb := standbyReadsRig(t, 3000, 2, 5*time.Millisecond)
+	tb, d, _ := standbyReadsRig(t, 3000, 2, 5*time.Millisecond)
 	A, C := d.Mounts[0], d.Mounts[2]
 	ctxA, ctxC := cluster.Ctx(0, 1), cluster.Ctx(2, 1)
 
@@ -288,7 +300,7 @@ func TestStandbyReadsAcrossPrimaryCrash(t *testing.T) {
 	if err := d.Service.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if sb.Reads == 0 && sb.Fallbacks == 0 {
+	if standbyReads(d) == 0 && standbyFallbacks(d) == 0 {
 		t.Fatal("crash replay exercised no standby decisions")
 	}
 }
@@ -344,7 +356,7 @@ func TestStandbyReadsAcrossReshard(t *testing.T) {
 		t.Fatalf("standby has %d replicas after grow, want 4", got)
 	}
 	// The settled, drained standby serves at the new shape.
-	served := sb.Reads
+	served := standbyReads(d)
 	step(tb, "verify-settled", func(p *sim.Proc) {
 		for i := 0; i < 40; i++ {
 			name := fmt.Sprintf("/out/f%02d", i)
@@ -354,8 +366,8 @@ func TestStandbyReadsAcrossReshard(t *testing.T) {
 			}
 		}
 	})
-	if sb.Reads == served {
-		t.Errorf("no standby reads served after the reshard settled (reads=%d fallbacks=%d)", sb.Reads, sb.Fallbacks)
+	if standbyReads(d) == served {
+		t.Errorf("no standby reads served after the reshard settled (reads=%d fallbacks=%d)", standbyReads(d), standbyFallbacks(d))
 	}
 	if err := d.Service.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -392,10 +404,10 @@ func TestStandbyPromoteWhileServingReads(t *testing.T) {
 			}
 		}
 	})
-	if sb.Reads == 0 {
+	if standbyReads(d) == 0 {
 		t.Fatal("standby served nothing before the failover: test is vacuous")
 	}
-	preReads := sb.Reads
+	preReads := standbyReads(d)
 
 	d.Service.Crash()
 	if lost := sb.Promote(d); lost != 0 {

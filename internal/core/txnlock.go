@@ -105,7 +105,7 @@ type rowTxn struct {
 // on DisableTxnLocks planes (which refuse to reshard).
 func (s *Service) staleProtocol(t *rowTxn) bool {
 	if t == nil && s.sharded() && s.cluster.rowLocks != nil {
-		s.cluster.rstats.Redirects++
+		s.cluster.ctr.reshard.Redirects++
 		return true
 	}
 	return false

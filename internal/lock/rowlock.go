@@ -220,12 +220,14 @@ type RowLocks struct {
 	// between. Nil in production; the hook must not block.
 	OnWait func(waiter *sim.Proc, key RowKey, mode Mode, start time.Duration)
 
-	Stats RowLockStats
+	// Stats is the block the table counts into, set at construction.
+	Stats *RowLockStats
 }
 
-// NewRowLocks creates an empty row-lock table.
-func NewRowLocks(env *sim.Env) *RowLocks {
-	return &RowLocks{env: env, rows: make(map[RowKey]*rowState)}
+// NewRowLocks creates an empty row-lock table counting into stats (a
+// block its owner keeps, so it outlives the table).
+func NewRowLocks(env *sim.Env, stats *RowLockStats) *RowLocks {
+	return &RowLocks{env: env, rows: make(map[RowKey]*rowState), Stats: stats}
 }
 
 // mode applies the ExclusiveOnly override.

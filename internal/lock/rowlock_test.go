@@ -55,7 +55,7 @@ func TestSortReqsCanonicalOrderDedupStrongestMode(t *testing.T) {
 
 func TestAcquirePanicsOutOfOrder(t *testing.T) {
 	env := sim.NewEnv(1)
-	rl := NewRowLocks(env)
+	rl := NewRowLocks(env, &RowLockStats{})
 	env.Spawn("p", func(p *sim.Proc) {
 		defer func() {
 			if recover() == nil {
@@ -73,7 +73,7 @@ func TestAcquirePanicsOutOfOrder(t *testing.T) {
 // is counted, and grants hand over FIFO.
 func TestRowLocksSerializeFIFO(t *testing.T) {
 	env := sim.NewEnv(1)
-	rl := NewRowLocks(env)
+	rl := NewRowLocks(env, &RowLockStats{})
 	a := xs(rk(0, 1, 1, ""), rk(0, 2, 1, "x"))
 	b := xs(rk(0, 2, 1, "x"), rk(1, 1, 4, ""))
 	var order []string
@@ -118,7 +118,7 @@ func TestRowLocksSerializeFIFO(t *testing.T) {
 // both, and the counters attribute the grants correctly.
 func TestSharedHoldersRunConcurrently(t *testing.T) {
 	env := sim.NewEnv(1)
-	rl := NewRowLocks(env)
+	rl := NewRowLocks(env, &RowLockStats{})
 	row := rk(0, 1, 7, "")
 	var concurrent bool
 	hold := func(name string, start, hold time.Duration) {
@@ -170,7 +170,7 @@ func TestSharedHoldersRunConcurrently(t *testing.T) {
 // so a writer is never starved by a stream of readers.
 func TestQueuedWriterBlocksNewSharers(t *testing.T) {
 	env := sim.NewEnv(1)
-	rl := NewRowLocks(env)
+	rl := NewRowLocks(env, &RowLockStats{})
 	row := rk(0, 1, 3, "")
 	var order []string
 	env.Spawn("S1", func(p *sim.Proc) {
@@ -207,7 +207,7 @@ func TestQueuedWriterBlocksNewSharers(t *testing.T) {
 // table garbage-collects to empty, and a later acquirer is uncontended.
 func TestReleaseFreesRowsOnAbort(t *testing.T) {
 	env := sim.NewEnv(1)
-	rl := NewRowLocks(env)
+	rl := NewRowLocks(env, &RowLockStats{})
 	reqs := []Req{X(rk(0, 1, 1, "")), S(rk(0, 2, 1, "x")), X(rk(2, 1, 9, ""))}
 	env.Spawn("abort", func(p *sim.Proc) {
 		rl.Acquire(p, reqs, nil)
@@ -243,7 +243,7 @@ func TestReleaseFreesRowsOnAbort(t *testing.T) {
 // non-held key.
 func TestUpgradeSoleHolder(t *testing.T) {
 	env := sim.NewEnv(1)
-	rl := NewRowLocks(env)
+	rl := NewRowLocks(env, &RowLockStats{})
 	row := rk(0, 1, 5, "")
 	env.Spawn("p", func(p *sim.Proc) {
 		rl.Acquire(p, []Req{S(row)}, nil)
@@ -286,7 +286,7 @@ func TestUpgradeSoleHolder(t *testing.T) {
 // re-acquire in canonical order instead.
 func TestUpgradeRefusedWithOtherSharers(t *testing.T) {
 	env := sim.NewEnv(1)
-	rl := NewRowLocks(env)
+	rl := NewRowLocks(env, &RowLockStats{})
 	row := rk(0, 1, 6, "")
 	env.Spawn("A", func(p *sim.Proc) {
 		rl.Acquire(p, []Req{S(row)}, nil)
@@ -317,7 +317,7 @@ func TestUpgradeRefusedWithOtherSharers(t *testing.T) {
 // are counted.
 func TestExclusiveOnlyKnob(t *testing.T) {
 	env := sim.NewEnv(1)
-	rl := NewRowLocks(env)
+	rl := NewRowLocks(env, &RowLockStats{})
 	rl.ExclusiveOnly = true
 	row := rk(0, 1, 8, "")
 	var secondAt time.Duration
@@ -350,7 +350,7 @@ func TestExclusiveOnlyKnob(t *testing.T) {
 // MustRun panics if parked processes remain with no pending events.
 func TestOrderedAcquisitionAvoidsDeadlock(t *testing.T) {
 	env := sim.NewEnv(7)
-	rl := NewRowLocks(env)
+	rl := NewRowLocks(env, &RowLockStats{})
 	rng := env.RNG("rowlock.deadlock")
 	const rows = 6
 	for i := 0; i < 16; i++ {

@@ -71,7 +71,7 @@ func runLockScheduleFuzz(t *testing.T, seed int64, exclusiveOnly bool) fuzzRepor
 		ids     = 5
 	)
 	env := sim.NewEnv(seed)
-	rl := NewRowLocks(env)
+	rl := NewRowLocks(env, &RowLockStats{})
 	rl.ExclusiveOnly = exclusiveOnly
 	rng := env.RNG("lock.schedfuzz")
 	ledger := make(map[RowKey]*fuzzRow)
@@ -295,7 +295,7 @@ func TestLockFuzzFIFOSingleRow(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			env := sim.NewEnv(seed)
-			rl := NewRowLocks(env)
+			rl := NewRowLocks(env, &RowLockStats{})
 			rng := env.RNG("lock.fifofuzz")
 			key := rk(0, 1, 1, "")
 			var arrivals, grants []string

@@ -97,11 +97,10 @@ func (r *Request) respSize() int64 {
 	return r.RespFixed
 }
 
-// Fixed is a RespBytes helper for replies of static size. Prefer setting
-// RespFixed directly; Fixed survives for call sites built before it.
-func Fixed(n int64) func() int64 { return func() int64 { return n } }
-
-// ConnStats counts transport-level events on one Conn.
+// ConnStats counts transport-level events. A block is owned by whatever
+// outlives the channels counting into it (a client, a metadata plane),
+// and any number of Conns may share one, so a dropped or re-dialed
+// channel leaves its counts behind without any folding.
 type ConnStats struct {
 	// Calls is the number of requests submitted.
 	Calls int64
@@ -117,15 +116,6 @@ type ConnStats struct {
 	Recalls int64
 }
 
-// Add accumulates o's counters into s (aggregation over conns).
-func (s *ConnStats) Add(o ConnStats) {
-	s.Calls += o.Calls
-	s.Wire += o.Wire
-	s.Batches += o.Batches
-	s.Batched += o.Batched
-	s.Recalls += o.Recalls
-}
-
 // Conn is one client's channel to one server (a COFS client to a
 // metadata shard, or a shard to a peer shard). It is not safe for use
 // outside the simulation's cooperative scheduler.
@@ -138,7 +128,8 @@ type Conn struct {
 	busy  bool
 	queue []*pending
 
-	Stats ConnStats
+	// Stats is the block this channel counts into, set at Dial.
+	Stats *ConnStats
 
 	// Trace, when non-nil, records the transport child spans of every
 	// round trip (rpc.send / rpc.queue / rpc.serve / rpc.recv) on the
@@ -157,11 +148,11 @@ type pending struct {
 	ride []*pending // batch handed to a promoted carrier
 }
 
-// Dial creates a channel from a client host to a server host. With
-// batch false every Call is its own wire round trip, cost-identical to
-// netsim.Call.
-func Dial(net *netsim.Net, local, remote *netsim.Host, batch bool) *Conn {
-	return &Conn{net: net, local: local, remote: remote, batch: batch}
+// Dial creates a channel from a client host to a server host, counting
+// into stats. With batch false every Call is its own wire round trip,
+// cost-identical to netsim.Call.
+func Dial(net *netsim.Net, local, remote *netsim.Host, batch bool, stats *ConnStats) *Conn {
+	return &Conn{net: net, local: local, remote: remote, batch: batch, Stats: stats}
 }
 
 // Remote returns the server-side host of the channel.

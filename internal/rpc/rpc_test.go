@@ -29,9 +29,9 @@ func TestUnbatchedCallMatchesNetsimCall(t *testing.T) {
 		env.Spawn("t", func(p *sim.Proc) {
 			start := p.Now()
 			if useConn {
-				c := Dial(net, client, server, false)
+				c := Dial(net, client, server, false, &ConnStats{})
 				c.Call(p, Request{Op: OpGetattr, ReqBytes: 96, CPU: cpu,
-					Run: func(p *sim.Proc) {}, RespBytes: Fixed(192)})
+					Run: func(p *sim.Proc) {}, RespFixed: 192})
 			} else {
 				netsim.Call(p, net, client, server, 96, 192, func(p *sim.Proc) struct{} {
 					p.Sleep(cpu)
@@ -53,7 +53,7 @@ func TestUnbatchedCallMatchesNetsimCall(t *testing.T) {
 // wire round trips must be strictly fewer than the requests.
 func TestBatchingCoalesces(t *testing.T) {
 	env, net, client, server := testNet(2)
-	c := Dial(net, client, server, true)
+	c := Dial(net, client, server, true, &ConnStats{})
 	const callers = 16
 	done := make([]bool, callers)
 	for i := 0; i < callers; i++ {
@@ -62,7 +62,7 @@ func TestBatchingCoalesces(t *testing.T) {
 			for j := 0; j < 8; j++ {
 				ran := false
 				c.Call(p, Request{Op: OpCreate, ReqBytes: 128, CPU: 50 * time.Microsecond,
-					Run: func(p *sim.Proc) { ran = true }, RespBytes: Fixed(64)})
+					Run: func(p *sim.Proc) { ran = true }, RespFixed: 64})
 				if !ran {
 					t.Errorf("caller %d call %d: body never ran", i, j)
 					return
@@ -93,12 +93,12 @@ func TestBatchingCoalesces(t *testing.T) {
 func TestBatchingDeterministic(t *testing.T) {
 	run := func() time.Duration {
 		env, net, client, server := testNet(7)
-		c := Dial(net, client, server, true)
+		c := Dial(net, client, server, true, &ConnStats{})
 		for i := 0; i < 8; i++ {
 			env.Spawn("caller", func(p *sim.Proc) {
 				for j := 0; j < 4; j++ {
 					c.Call(p, Request{ReqBytes: 100, CPU: 30 * time.Microsecond,
-						Run: func(p *sim.Proc) {}, RespBytes: Fixed(100)})
+						Run: func(p *sim.Proc) {}, RespFixed: 100})
 				}
 			})
 		}
@@ -115,13 +115,13 @@ func TestBatchingDeterministic(t *testing.T) {
 // completes).
 func TestBatchRespectsMaxBatch(t *testing.T) {
 	env, net, client, server := testNet(3)
-	c := Dial(net, client, server, true)
+	c := Dial(net, client, server, true, &ConnStats{})
 	const callers = MaxBatch * 2
 	completed := 0
 	for i := 0; i < callers; i++ {
 		env.Spawn("caller", func(p *sim.Proc) {
 			c.Call(p, Request{ReqBytes: 64, CPU: 20 * time.Microsecond,
-				Run: func(p *sim.Proc) {}, RespBytes: Fixed(32)})
+				Run: func(p *sim.Proc) {}, RespFixed: 32})
 			completed++
 		})
 	}
@@ -139,7 +139,7 @@ func TestBatchRespectsMaxBatch(t *testing.T) {
 // ReaddirPlus contract: the reply size depends on served data).
 func TestDynamicResponseSize(t *testing.T) {
 	env, net, client, server := testNet(4)
-	c := Dial(net, client, server, false)
+	c := Dial(net, client, server, false, &ConnStats{})
 	env.Spawn("t", func(p *sim.Proc) {
 		entries := 0
 		c.Call(p, Request{Op: OpReaddir, ReqBytes: 96, CPU: 10 * time.Microsecond,

@@ -177,19 +177,6 @@ func (c *Counters) Get(name string) int64 { return c.vals[name] }
 // Names returns the counter names in registration order.
 func (c *Counters) Names() []string { return append([]string(nil), c.names...) }
 
-// Merge folds every counter of other into c, registering names c has
-// not seen. Retired-shard and drained-session counters fold into the
-// survivor's set this way instead of each call site keeping its own
-// cumulative-priors arithmetic.
-func (c *Counters) Merge(other *Counters) {
-	if other == nil {
-		return
-	}
-	for _, n := range other.names {
-		c.Add(n, other.vals[n])
-	}
-}
-
 // String renders the counters through the same canonical sorted layout
 // as Fprint, so the two surfaces can never drift apart again.
 func (c *Counters) String() string {

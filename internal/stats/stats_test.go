@@ -210,29 +210,3 @@ func TestCountersStringMatchesFprint(t *testing.T) {
 		t.Fatalf("not name-sorted:\n%s", c.String())
 	}
 }
-
-func TestCountersMerge(t *testing.T) {
-	a := NewCounters()
-	a.Add("rpc.calls", 10)
-	a.Add("cache.hits", 3)
-	b := NewCounters()
-	b.Add("rpc.calls", 5)
-	b.Add("mds.requests", 7)
-	a.Merge(b)
-	if got := a.Get("rpc.calls"); got != 15 {
-		t.Fatalf("merged rpc.calls=%d, want 15", got)
-	}
-	if got := a.Get("cache.hits"); got != 3 {
-		t.Fatalf("merge clobbered cache.hits=%d", got)
-	}
-	if got := a.Get("mds.requests"); got != 7 {
-		t.Fatalf("merge dropped new name: mds.requests=%d", got)
-	}
-	if got := b.Get("rpc.calls"); got != 5 {
-		t.Fatalf("merge mutated its source: %d", got)
-	}
-	a.Merge(nil) // nil source is a no-op, the failover path's empty case
-	if got := a.Get("rpc.calls"); got != 15 {
-		t.Fatalf("nil merge changed counters: %d", got)
-	}
-}
