@@ -431,46 +431,6 @@ func BenchmarkMillionFileStorm(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupCommitOverlap measures the group-commit overlap the
-// shared/exclusive row-lock split recovers (docs/transactions.md): a
-// same-directory create storm — 16 ranks (4 nodes x 4 procs) all
-// creating and deleting distinct files in one shared virtual directory
-// — at 1, 2 and 4 metadata shards, with the exclusive-only table
-// (COFSParams.ExclusiveRowLocks, PR 3's behaviour) versus the
-// mode-aware default. Every create meets on the parent directory's
-// inode row: exclusive-only serializes the whole validate→commit spans
-// there, shared/exclusive overlaps them (the dentry rows written stay
-// exclusive), so vms/op must improve at 2 and 4 shards. One shard has
-// no lock table at all — both rows are the identical baseline
-// (TestTxnLocksUncontendedCostIdentical pins the uncontended
-// equivalence at 2 and 4 shards).
-func BenchmarkGroupCommitOverlap(b *testing.B) {
-	run := func(seed int64, shards int, excl bool) float64 {
-		cfg := params.Default()
-		cfg.COFS.MetadataShards = shards
-		cfg.COFS.ExclusiveRowLocks = excl
-		tb := cluster.New(seed, 4, cfg)
-		d := core.Deploy(tb, nil)
-		t := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
-		res := bench.Metarates(t, bench.MetaratesConfig{
-			Nodes: 4, ProcsPerNode: 4, FilesPerProc: 128,
-			Dir: "/shared", Ops: []string{"create"},
-		})
-		return res.MeanMs("create")
-	}
-	for _, shards := range []int{1, 2, 4} {
-		for _, mode := range []string{"exclusive", "shared-exclusive"} {
-			b.Run(fmt.Sprintf("%s-%dshards", mode, shards), func(b *testing.B) {
-				var ms float64
-				for i := 0; i < b.N; i++ {
-					ms = run(int64(i+1), shards, mode == "exclusive")
-				}
-				reportMs(b, ms)
-			})
-		}
-	}
-}
-
 // BenchmarkMetadataCache documents the section IV-B win: the
 // metarates-style stat/utime storm (4 nodes repeatedly `ls -l`-ing a
 // shared 256-file directory with cross-node utime sweeps in between),

@@ -9,10 +9,13 @@
 //	cofsctl [-nodes N] [-shards M] [-store B] [-files F] [-seed S] [-corrupt] mapping|tables|stats|fsck|reshard|all
 //
 // The reshard verb migrates the live plane to -reshard-to shards after
-// the demo workload, runs a second workload over the migrated rows and
-// reports the movement counters (docs/resharding.md). With -crash-at N
+// the demo workload and runs a second workload over the migrated rows;
+// the report's mds.reshard-* counters show the movement
+// (docs/resharding.md). With -crash-at N
 // it instead kills the plane at migration step N, recovers it, and
-// reports the virtual recovery time.
+// reports the virtual recovery time. Every verb ends with internal/cli's
+// post-run report, which also owns the deployment, observability and
+// profiling flags.
 package main
 
 import (
@@ -21,51 +24,21 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
-	"cofs/internal/bench"
+	"cofs/internal/cli"
 	"cofs/internal/cluster"
 	"cofs/internal/core"
-	"cofs/internal/params"
 	"cofs/internal/sim"
-	"cofs/internal/store"
 	"cofs/internal/vfs"
 )
 
-// resolveStore validates a -store flag against the provider registry,
-// so a typo fails fast with the registered names instead of silently
-// deploying the default backend.
-func resolveStore(name string) string {
-	if name == "" {
-		name = store.DefaultName
-	}
-	if _, ok := store.Lookup(name); !ok {
-		fmt.Fprintf(os.Stderr, "unknown -store %q (registered: %s)\n", name, strings.Join(store.Names(), ", "))
-		os.Exit(2)
-	}
-	return name
-}
-
 func main() {
-	nodes := flag.Int("nodes", 4, "number of compute nodes")
-	shards := flag.Int("shards", 1, "metadata service shards")
-	storeName := flag.String("store", "", "metadata store backend (default "+store.DefaultName+"; see docs/backends.md)")
 	files := flag.Int("files", 32, "files per node to create in the demo workload")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	attrLease := flag.Duration("attr-lease", 0, "client cache lease term (0 disables the coherent cache)")
-	rpcBatch := flag.Bool("rpc-batch", false, "coalesce concurrent RPCs to the same shard into one round trip")
-	exclLocks := flag.Bool("excl-locks", false, "revert the row-lock table to exclusive-only locks (no shared read-dependency grants)")
-	standbyReads := flag.Bool("standby-reads", false, "serve reads from per-shard hot standbys when provably fresh (docs/replication.md)")
 	corrupt := flag.Bool("corrupt", false, "fsck: damage the underlying tree first (delete one mapped file, add one stray)")
 	reshardTo := flag.Int("reshard-to", 2, "reshard: target shard count")
 	crashAt := flag.Int("crash-at", -1, "reshard: crash the plane at migration step N and recover (-1 runs to completion)")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (open in Perfetto; docs/observability.md)")
-	metrics := flag.Bool("metrics", false, "collect and print per-(op, shard) latency histograms and skew rates")
-	slowlog := flag.Duration("slowlog", 0, "print the slowest operation spans at or above this virtual-time threshold (implies tracing)")
-	cpuprofile := flag.String("cpuprofile", "", "write a host CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a host allocation profile to this file")
+	common := cli.Register(flag.CommandLine, 1)
 	flag.Parse()
-	defer bench.MustProfile(*cpuprofile, *memprofile)()
 	what := "all"
 	if flag.NArg() > 0 {
 		what = flag.Arg(0)
@@ -73,25 +46,12 @@ func main() {
 	switch what {
 	case "mapping", "tables", "stats", "fsck", "reshard", "all":
 	default:
-		fmt.Fprintln(os.Stderr, "usage: cofsctl [-nodes N] [-shards M] [-store B] [-files F] [-corrupt] [-reshard-to M2] mapping|tables|stats|fsck|reshard|all")
+		fmt.Fprintln(os.Stderr, "usage: cofsctl [-nodes N] [-shards M] [-store B] [-files F] [-corrupt] [-reshard-to M2] [-crash-at N] mapping|tables|stats|fsck|reshard|all")
 		os.Exit(2)
 	}
 
-	cfg := params.Default()
-	cfg.COFS.MetadataStore = resolveStore(*storeName)
-	cfg.COFS.MetadataShards = *shards
-	cfg.COFS.AttrLease = *attrLease
-	cfg.COFS.RPCBatch = *rpcBatch
-	cfg.COFS.ExclusiveRowLocks = *exclLocks
-	cfg.COFS.StandbyReads = *standbyReads
-	cfg.COFS.Trace = *traceOut != "" || *slowlog > 0
-	cfg.COFS.Metrics = *metrics
-	tb := cluster.New(*seed, *nodes, cfg)
-	d := core.Deploy(tb, nil)
-	if *standbyReads {
-		core.DeployStandby(tb, d, 5*time.Millisecond)
-		tb.Run()
-	}
+	run := common.Start("cofs")
+	tb, d, nodes := run.TB, run.D, common.Nodes
 
 	// Demo workload: shared dir, parallel creates, a few stats.
 	tb.Env.Spawn("setup", func(p *sim.Proc) {
@@ -100,7 +60,7 @@ func main() {
 		}
 	})
 	tb.Run()
-	for n := 0; n < *nodes; n++ {
+	for n := 0; n < nodes; n++ {
 		node := n
 		tb.Env.Spawn("load", func(p *sim.Proc) {
 			m := d.Mounts[node]
@@ -196,7 +156,7 @@ func main() {
 			})
 			// A second workload runs concurrently with the migration, so the
 			// movement happens under live traffic, redirects included.
-			for n := 0; n < *nodes; n++ {
+			for n := 0; n < nodes; n++ {
 				node := n
 				tb.Env.Spawn("load2", func(p *sim.Proc) {
 					m := d.Mounts[node]
@@ -218,13 +178,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "cofsctl: plane invariants after reshard: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("  rows per shard after:  %v\n", d.Service.ShardCounts())
-		rs := d.Service.ReshardStats()
-		fmt.Printf("  epochs=%d groups-moved=%d rows-moved=%d bytes=%d redirects=%d refetches=%d lease-recalls=%d wal-handoff=%d retired=%d\n",
-			rs.Epochs, rs.GroupsMoved, rs.RowsMoved, rs.BytesMoved, rs.Redirects, rs.Refetches, rs.Recalls, rs.HandoffRecords, rs.Retired)
-		fmt.Printf("== per-layer counters (store=%s) ==\n", d.Service.StoreName())
-		d.Counters().Fprint(os.Stdout, "  ")
 	}
+	code := 0
 	if what == "fsck" || what == "all" {
 		fmt.Println("== fsck (service tables vs underlying file system) ==")
 		if *corrupt {
@@ -256,32 +211,7 @@ func main() {
 		tb.Run()
 		fmt.Print(rep)
 		if !rep.OK() && what == "fsck" {
-			defer os.Exit(1)
-		}
-	}
-	if m := d.Metrics(); m != nil {
-		fmt.Println("== latency histograms (virtual time) ==")
-		m.Fprint(os.Stdout, "  ")
-		fmt.Println("== per-shard rates (sliding window) ==")
-		m.FprintRates(os.Stdout, "  ", tb.Env.Now())
-	}
-	if tr := d.Tracer(); tr != nil {
-		if *slowlog > 0 {
-			fmt.Printf("== slowest spans (threshold %v) ==\n", *slowlog)
-			tr.FprintSlow(os.Stdout, *slowlog, 16)
-		}
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cofsctl: %v\n", err)
-				os.Exit(1)
-			}
-			if err := tr.WriteChrome(f); err != nil {
-				fmt.Fprintf(os.Stderr, "cofsctl: writing trace: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
-			fmt.Printf("trace: %d spans -> %s\n", tr.Spans, *traceOut)
+			code = 1
 		}
 	}
 	if what == "stats" || what == "all" {
@@ -297,8 +227,6 @@ func main() {
 				i, fs.Stats.ServiceOps, fs.Stats.UnderCreates, fs.Stats.UnderOpens,
 				fs.Stats.BucketSpills, fs.Stats.WriteBacks)
 		}
-		fmt.Printf("== per-layer counters (store=%s; rpc transport / client cache / leases / reshard) ==\n", d.Service.StoreName())
-		d.Counters().Fprint(os.Stdout, "  ")
-		fmt.Printf("  virtual time: %v\n", tb.Env.Now())
 	}
+	run.Finish(code)
 }

@@ -6,139 +6,48 @@
 //	mdtest -fs cofs -shards 2 -reshard-at file-create -reshard-to 4
 //
 // It reports per-phase operation rates, mdtest-style; with -reshard-at
-// the COFS metadata plane reshards mid-phase while the ranks run.
+// the COFS metadata plane reshards mid-phase while the ranks run. The
+// deployment, observability and profiling flags are internal/cli's.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
-	"strings"
-	"time"
 
 	"cofs/internal/bench"
-	"cofs/internal/cluster"
-	"cofs/internal/core"
-	"cofs/internal/params"
-	"cofs/internal/store"
+	"cofs/internal/cli"
 )
 
 func main() {
 	var (
-		fs        = flag.String("fs", "cofs", "stack: gpfs | cofs")
-		nodes     = flag.Int("nodes", 4, "participating compute nodes")
-		procs     = flag.Int("procs", 1, "ranks per node")
-		shards    = flag.Int("shards", 1, "cofs metadata service shards")
-		storeName = flag.String("store", "", "cofs metadata store backend (default "+store.DefaultName+"; see docs/backends.md)")
-		depth     = flag.Int("depth", 2, "tree depth")
-		branch    = flag.Int("branch", 4, "tree fanout per level")
-		files     = flag.Int("files", 128, "files per rank")
-		shared    = flag.Bool("shared", false, "all ranks share one tree (contended mode)")
-		shift     = flag.Bool("shift", false, "rank r stats rank r+1's files (cross-node attributes)")
-		seed      = flag.Int64("seed", 42, "deterministic seed")
+		fs     = flag.String("fs", "cofs", "stack: gpfs | cofs")
+		procs  = flag.Int("procs", 1, "ranks per node")
+		depth  = flag.Int("depth", 2, "tree depth")
+		branch = flag.Int("branch", 4, "tree fanout per level")
+		files  = flag.Int("files", 128, "files per rank")
+		shared = flag.Bool("shared", false, "all ranks share one tree (contended mode)")
+		shift  = flag.Bool("shift", false, "rank r stats rank r+1's files (cross-node attributes)")
 
-		attrLease    = flag.Duration("attr-lease", 0, "cofs client cache lease term (0 disables the coherent cache)")
-		rpcBatch     = flag.Bool("rpc-batch", false, "cofs: coalesce concurrent RPCs to the same shard into one round trip")
-		exclLocks    = flag.Bool("excl-locks", false, "cofs: revert the row-lock table to exclusive-only locks")
-		standbyReads = flag.Bool("standby-reads", false, "cofs: serve reads from per-shard hot standbys when provably fresh (docs/replication.md)")
-		reshardAt    = flag.String("reshard-at", "", "cofs: reshard mid-run, when this phase starts (e.g. file-create)")
-		reshardTo    = flag.Int("reshard-to", 0, "cofs: target shard count of the mid-run reshard")
-
-		traceOut = flag.String("trace", "", "cofs: write a Chrome trace-event JSON of the run to this file (open in Perfetto; docs/observability.md)")
-		metrics  = flag.Bool("metrics", false, "cofs: collect and print per-(op, shard) latency histograms and skew rates")
-		slowlog  = flag.Duration("slowlog", 0, "cofs: print the slowest operation spans at or above this virtual-time threshold (implies tracing)")
-
-		cpuprofile = flag.String("cpuprofile", "", "write a host CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a host allocation profile to this file")
+		reshardAt = flag.String("reshard-at", "", "cofs: reshard mid-run, when this phase starts (e.g. file-create)")
+		reshardTo = flag.Int("reshard-to", 0, "cofs: target shard count of the mid-run reshard")
 	)
+	common := cli.Register(flag.CommandLine, 42)
 	flag.Parse()
-	defer bench.MustProfile(*cpuprofile, *memprofile)()
+	run := common.Start(*fs, "reshard-at", "reshard-to")
 
-	cfg := params.Default()
-	if _, ok := store.Lookup(*storeName); !ok && *storeName != "" {
-		fmt.Fprintf(os.Stderr, "mdtest: unknown -store %q (registered: %s)\n", *storeName, strings.Join(store.Names(), ", "))
-		os.Exit(2)
-	}
-	cfg.COFS.MetadataStore = *storeName
-	cfg.COFS.MetadataShards = *shards
-	cfg.COFS.AttrLease = *attrLease
-	cfg.COFS.RPCBatch = *rpcBatch
-	cfg.COFS.ExclusiveRowLocks = *exclLocks
-	cfg.COFS.StandbyReads = *standbyReads
-	cfg.COFS.Trace = *traceOut != "" || *slowlog > 0
-	cfg.COFS.Metrics = *metrics
-	tb := cluster.New(*seed, *nodes, cfg)
-	var tgt bench.Target
-	var deployment *core.Deployment
-	switch *fs {
-	case "gpfs":
-		tgt = bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
-	case "cofs":
-		deployment = core.Deploy(tb, nil)
-		if *standbyReads {
-			core.DeployStandby(tb, deployment, 5*time.Millisecond)
-			tb.Run()
-		}
-		tgt = bench.Target{Env: tb.Env, Mounts: deployment.Mounts, Ctx: cluster.Ctx}
-	default:
-		fmt.Fprintf(os.Stderr, "mdtest: unknown fs %q\n", *fs)
-		os.Exit(1)
-	}
-
-	mcfg := bench.MDTestConfig{
-		Nodes: *nodes, ProcsPerNode: *procs, Depth: *depth, Branch: *branch, FilesPerRank: *files,
+	nodes := common.Nodes
+	res := bench.MDTest(run.Target(), bench.MDTestConfig{
+		Nodes: nodes, ProcsPerNode: *procs, Depth: *depth, Branch: *branch, FilesPerRank: *files,
 		Shared: *shared, StatShift: *shift,
-	}
-	if *reshardAt != "" {
-		if deployment == nil {
-			fmt.Fprintln(os.Stderr, "mdtest: -reshard-at needs -fs cofs")
-			os.Exit(2)
-		}
-		if *reshardTo < 1 {
-			fmt.Fprintln(os.Stderr, "mdtest: -reshard-at needs -reshard-to")
-			os.Exit(2)
-		}
-		mcfg.PhaseHook = bench.ReshardHook(*reshardAt, *reshardTo, deployment.Service.Reshard, os.Stderr, "mdtest")
-	}
-	res := bench.MDTest(tgt, mcfg)
+		PhaseHook: run.ReshardHook(*reshardAt, *reshardTo),
+	})
 	mode := "unique trees"
 	if *shared {
 		mode = "shared tree"
 	}
 	fmt.Printf("mdtest on %s: %d ranks (%d nodes x %d), depth %d, branch %d, %d files/rank, %s, shift=%v\n\n",
-		*fs, *nodes**procs, *nodes, *procs, *depth, *branch, *files, mode, *shift)
+		*fs, nodes**procs, nodes, *procs, *depth, *branch, *files, mode, *shift)
 	fmt.Print(res.Report())
-	if deployment != nil {
-		if *reshardAt != "" {
-			fmt.Printf("\ncofs shards after run: %d (rows per shard: %v)\n",
-				deployment.Service.ServingShards(), deployment.Service.ShardCounts())
-		}
-		fmt.Printf("\ncofs per-layer counters (store=%s):\n", deployment.Service.StoreName())
-		deployment.Counters().Fprint(os.Stdout, "  ")
-		if m := deployment.Metrics(); m != nil {
-			fmt.Println("\ncofs latency histograms (virtual time):")
-			m.Fprint(os.Stdout, "  ")
-			fmt.Println("cofs per-shard rates (sliding window):")
-			m.FprintRates(os.Stdout, "  ", tb.Env.Now())
-		}
-		if tr := deployment.Tracer(); tr != nil {
-			if *slowlog > 0 {
-				fmt.Printf("\ncofs slowest spans (threshold %v):\n", *slowlog)
-				tr.FprintSlow(os.Stdout, *slowlog, 16)
-			}
-			if *traceOut != "" {
-				f, err := os.Create(*traceOut)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "mdtest: %v\n", err)
-					os.Exit(1)
-				}
-				if err := tr.WriteChrome(f); err != nil {
-					fmt.Fprintf(os.Stderr, "mdtest: writing trace: %v\n", err)
-					os.Exit(1)
-				}
-				f.Close()
-				fmt.Printf("\ntrace: %d spans -> %s\n", tr.Spans, *traceOut)
-			}
-		}
-	}
+	fmt.Println()
+	run.Finish(0)
 }

@@ -7,7 +7,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"cofs/internal/sim"
@@ -44,23 +43,6 @@ type MetaratesConfig struct {
 
 // DefaultOps is the paper's operation set.
 var DefaultOps = []string{"create", "stat", "utime", "open"}
-
-// ReshardHook builds the PhaseHook behind the tools' -reshard-at
-// flags: when the named phase starts it invokes reshard (the metadata
-// plane's Reshard method) toward `to` shards, reporting failure to
-// errw under the tool's name. One constructor shared by mdtest and
-// metarates, so the mid-run trigger's contract cannot drift between
-// them.
-func ReshardHook(at string, to int, reshard func(p *sim.Proc, n int) error, errw io.Writer, tool string) func(p *sim.Proc, phase string) {
-	return func(p *sim.Proc, phase string) {
-		if phase != at {
-			return
-		}
-		if err := reshard(p, to); err != nil {
-			fmt.Fprintf(errw, "%s: mid-run reshard: %v\n", tool, err)
-		}
-	}
-}
 
 // MetaratesResult holds per-operation latency summaries.
 type MetaratesResult struct {

@@ -25,11 +25,17 @@ import (
 // cofsSystem deploys a two-node COFS testbed for one conformance case
 // and wires every capability hook: crash/recover and standby-promote
 // over the plane's WAL machinery, live reshard over the handoff
-// protocol, and a second mount for the coherence cases.
-func cofsSystem(seed int64, cfg params.Config) *conformance.System {
+// protocol, and a second mount for the coherence cases. With excl set
+// both the primary and the standby plane run exclusive-only row locks,
+// so the lock mode holds after a Promote and through reshards.
+func cofsSystem(seed int64, cfg params.Config, excl bool) *conformance.System {
 	tb := cluster.New(seed, 2, cfg)
 	d := core.Deploy(tb, nil)
 	sb := core.DeployStandby(tb, d, 10*time.Millisecond)
+	if excl {
+		core.ExclusiveRowLocksForTest(d.Service)
+		core.ExclusiveRowLocksForTest(sb.Cluster)
+	}
 	tb.Run()
 	return &conformance.System{
 		Env:    tb.Env,
@@ -68,14 +74,14 @@ func cofsCaps(cfg params.Config) conformance.Capabilities {
 }
 
 // cofsProvider builds the conformance provider for one deployment
-// configuration, deriving a distinct deterministic seed per case from
-// the configuration axes.
-func cofsProvider(name string, seed int64, cfg params.Config) conformance.Provider {
+// configuration (excl selects exclusive-only row locks), deriving a
+// distinct deterministic seed per case from the configuration axes.
+func cofsProvider(name string, seed int64, cfg params.Config, excl bool) conformance.Provider {
 	return conformance.Provider{
 		Name:         name,
 		Capabilities: cofsCaps(cfg),
 		New: func(t *testing.T) *conformance.System {
-			return cofsSystem(seed, cfg)
+			return cofsSystem(seed, cfg, excl)
 		},
 	}
 }
@@ -83,7 +89,7 @@ func cofsProvider(name string, seed int64, cfg params.Config) conformance.Provid
 // TestConformance runs the battery against the paper's default
 // deployment (single shard, mdb store, no client cache).
 func TestConformance(t *testing.T) {
-	conformance.Run(t, cofsProvider("cofs", 13, params.Default()))
+	conformance.Run(t, cofsProvider("cofs", 13, params.Default(), false))
 }
 
 // TestConformanceWithAttrCache repeats the battery with the client
@@ -92,7 +98,7 @@ func TestConformance(t *testing.T) {
 func TestConformanceWithAttrCache(t *testing.T) {
 	cfg := params.Default()
 	cfg.COFS.AttrCacheTimeout = cfg.FUSE.EntryTimeout
-	conformance.Run(t, cofsProvider("cofs-attrcache", 17, cfg))
+	conformance.Run(t, cofsProvider("cofs-attrcache", 17, cfg, false))
 }
 
 // TestConformanceMatrix is the provider-grade cross-product: every
@@ -120,7 +126,6 @@ func TestConformanceMatrix(t *testing.T) {
 						cfg := params.Default()
 						cfg.COFS.MetadataStore = backend
 						cfg.COFS.MetadataShards = shards
-						cfg.COFS.ExclusiveRowLocks = excl
 						cfg.COFS.StandbyReads = sbr
 						if lease {
 							cfg.COFS.AttrLease = 30 * time.Second
@@ -140,7 +145,7 @@ func TestConformanceMatrix(t *testing.T) {
 						}
 						seed := int64(100 + axis)
 						t.Run(name, func(t *testing.T) {
-							conformance.Run(t, cofsProvider("cofs-"+name, seed, cfg))
+							conformance.Run(t, cofsProvider("cofs-"+name, seed, cfg, excl))
 						})
 					}
 				}

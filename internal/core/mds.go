@@ -139,10 +139,15 @@ type MDSCluster struct {
 	// mutations hold per-inode/per-dentry locks across their whole
 	// validate→commit span (txnlock.go, docs/transactions.md). Nil on
 	// unsharded planes — a single shard commits every mutation in one
-	// serialized transaction — and when COFSParams.DisableTxnLocks
-	// reverts to the unlocked protocol for regression replays. Growing
-	// an unsharded plane creates it (Reshard).
+	// serialized transaction — and on unlocked planes. Growing an
+	// unsharded plane creates it (Reshard).
 	rowLocks *lock.RowLocks
+	// unlocked reverts the plane to the unlocked validate→commit
+	// protocol, and exclusiveLocks makes its row-lock table
+	// exclusive-only. They are the reference arms of the race replays
+	// and the overlap tests, set only through the test seams
+	// (export_test.go); an unlocked plane refuses to reshard.
+	unlocked, exclusiveLocks bool
 	// txnFree recycles rowTxn footprints (struct plus req buffer): every
 	// sharded mutation opens one, and a storm opens millions
 	// (txnlock.go).
@@ -206,12 +211,12 @@ func NewMDSCluster(net *netsim.Net, hosts []*netsim.Host, cfg params.Config) *MD
 }
 
 // ensureRowLocks creates the plane's row-lock table, counting into the
-// plane's block, once the plane has more than one shard (unless
-// DisableTxnLocks reverts to the unlocked protocol).
+// plane's block, once the plane has more than one shard (unless the
+// plane runs unlocked).
 func (c *MDSCluster) ensureRowLocks() {
-	if len(c.shards) > 1 && c.rowLocks == nil && !c.cfg.DisableTxnLocks {
+	if len(c.shards) > 1 && c.rowLocks == nil && !c.unlocked {
 		c.rowLocks = lock.NewRowLocks(c.net.Env(), &c.ctr.locks)
-		c.rowLocks.ExclusiveOnly = c.cfg.ExclusiveRowLocks
+		c.rowLocks.ExclusiveOnly = c.exclusiveLocks
 		c.wireLockObs()
 	}
 }
@@ -303,7 +308,7 @@ func (c *MDSCluster) StoreName() string { return c.shards[0].DB.EngineName() }
 // the same way: refetch and re-route.
 func (c *MDSCluster) routed(p *sim.Proc, sess *Session, ino vfs.Ino, op func(s *Service) error) {
 	for {
-		si := sess.mapView(c).Of(uint64(ino))
+		si := sess.view.Of(uint64(ino))
 		if si >= len(c.shards) || si >= len(sess.conns) {
 			sess.refetchMap(p, c)
 			continue

@@ -243,8 +243,9 @@ func TestMetricsSkewDetection(t *testing.T) {
 }
 
 // TestCountersCumulativeAcrossPromote pins the failover counter
-// contract (stats.Counters.Merge consumed by Deployment.Counters):
-// service-plane totals must not reset when a standby is promoted.
+// contract (Standby.Promote hands the plane's counter block to the
+// promoted plane, which Deployment.Counters reads): service-plane
+// totals must not reset when a standby is promoted.
 func TestCountersCumulativeAcrossPromote(t *testing.T) {
 	tb := cluster.New(31, 2, params.Default())
 	d := core.Deploy(tb, nil)

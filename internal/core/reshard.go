@@ -97,19 +97,15 @@ func (c *MDSCluster) stepAbort(at ReshardPoint) bool {
 // serving, blocking the calling process for the duration of the
 // migration (virtual time; concurrent traffic proceeds, throttled only
 // by each batch's row locks). It returns an error — without touching
-// the plane — when a migration is already in flight, when the plane
-// runs without the row-lock layer (DisableTxnLocks), or when epoch
-// routing is disabled (DisableReshardEpochs). Resharding to the current
-// count is a no-op.
+// the plane — when a migration is already in flight or when the plane
+// runs without the row-lock layer (the unlocked test arm). Resharding
+// to the current count is a no-op.
 func (c *MDSCluster) Reshard(p *sim.Proc, n int) error {
 	if n < 1 {
 		return fmt.Errorf("core: reshard to %d shards", n)
 	}
-	if c.cfg.DisableReshardEpochs {
-		return fmt.Errorf("core: resharding disabled (DisableReshardEpochs)")
-	}
-	if c.cfg.DisableTxnLocks {
-		return fmt.Errorf("core: resharding requires the row-lock layer (DisableTxnLocks is set)")
+	if c.unlocked {
+		return fmt.Errorf("core: resharding requires the row-lock layer (the plane runs unlocked)")
 	}
 	cur := c.Maps.Current()
 	if c.resharding || cur.Migrating() {

@@ -25,8 +25,8 @@ import (
 //     Exclusive row locks serialize a migration against a conflicting
 //     two-phase mutation of the same rows at every interleaving.
 //   - With Reshard never called, the dormant machinery charges nothing:
-//     virtual end time and message count are bit-identical to routing
-//     with the static map (COFSParams.DisableReshardEpochs).
+//     virtual end time and message count stay at the figures pinned
+//     when routing by the static map was still a live alternative.
 //   - After a reshard settles, steady-state latency matches a fresh
 //     deploy at the target shard count.
 
@@ -449,52 +449,54 @@ func TestReshardVsCreateInterleaving(t *testing.T) {
 
 // TestReshardDormantCostIdentical pins the bit-identical-figures
 // guarantee: with Reshard never called, a workload must land on exactly
-// the same virtual clock and move exactly the same number of network
-// messages whether clients route through the epoch-versioned map
-// machinery (the default) or straight off the static map
-// (COFSParams.DisableReshardEpochs) — at one shard and at four.
+// the virtual clock and network message count it had when clients
+// routed straight off the static shard map — the figures a relative
+// diff against that static routing held before it was deleted — at
+// one shard and at four. Any charge the dormant epoch machinery adds
+// (a map fetch, a wider request header) moves these figures.
 func TestReshardDormantCostIdentical(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		shards := shards
-		t.Run(fmt.Sprintf("%dshards", shards), func(t *testing.T) {
-			run := func(disable bool) (time.Duration, int64) {
-				cfg := params.Default()
-				cfg.COFS.MetadataShards = shards
-				cfg.COFS.DisableReshardEpochs = disable
-				tb := cluster.New(42, 2, cfg)
-				d := core.Deploy(tb, nil)
-				tb.Run()
-				ctx := cluster.Ctx(0, 1)
-				step(tb, "workload", func(p *sim.Proc) {
-					m := d.Mounts[0]
-					for i := 0; i < 8; i++ {
-						if err := m.MkdirAll(p, ctx, fmt.Sprintf("/t/d%d", i), 0777); err != nil {
-							t.Fatal(err)
-						}
-						f, err := m.Create(p, ctx, fmt.Sprintf("/t/d%d/f", i), 0644)
-						if err != nil {
-							t.Fatal(err)
-						}
-						f.Close(p)
-						m.Stat(p, ctx, fmt.Sprintf("/t/d%d/f", i))
-					}
-					if err := m.Rename(p, ctx, "/t/d0/f", "/t/d1/g"); err != nil {
+	for _, pin := range []struct {
+		shards int
+		now    time.Duration
+		msgs   int64
+	}{
+		{1, 1420867801 * time.Nanosecond, 498},
+		{4, 1451436645 * time.Nanosecond, 532},
+	} {
+		pin := pin
+		t.Run(fmt.Sprintf("%dshards", pin.shards), func(t *testing.T) {
+			cfg := params.Default()
+			cfg.COFS.MetadataShards = pin.shards
+			tb := cluster.New(42, 2, cfg)
+			d := core.Deploy(tb, nil)
+			tb.Run()
+			ctx := cluster.Ctx(0, 1)
+			step(tb, "workload", func(p *sim.Proc) {
+				m := d.Mounts[0]
+				for i := 0; i < 8; i++ {
+					if err := m.MkdirAll(p, ctx, fmt.Sprintf("/t/d%d", i), 0777); err != nil {
 						t.Fatal(err)
 					}
-					if err := m.Unlink(p, ctx, "/t/d1/g"); err != nil {
+					f, err := m.Create(p, ctx, fmt.Sprintf("/t/d%d/f", i), 0644)
+					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := m.Readdir(p, ctx, "/t"); err != nil {
-						t.Fatal(err)
-					}
-				})
-				return tb.Env.Now(), tb.Net.Messages
-			}
-			epochNow, epochMsgs := run(false)
-			staticNow, staticMsgs := run(true)
-			if epochNow != staticNow || epochMsgs != staticMsgs {
-				t.Fatalf("dormant epoch routing is not free: epoch (%v, %d msgs) vs static (%v, %d msgs)",
-					epochNow, epochMsgs, staticNow, staticMsgs)
+					f.Close(p)
+					m.Stat(p, ctx, fmt.Sprintf("/t/d%d/f", i))
+				}
+				if err := m.Rename(p, ctx, "/t/d0/f", "/t/d1/g"); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Unlink(p, ctx, "/t/d1/g"); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := m.Readdir(p, ctx, "/t"); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if tb.Env.Now() != pin.now || tb.Net.Messages != pin.msgs {
+				t.Fatalf("dormant epoch routing is not free: (%v, %d msgs), pinned (%v, %d msgs)",
+					tb.Env.Now(), tb.Net.Messages, pin.now, pin.msgs)
 			}
 		})
 	}
@@ -549,21 +551,14 @@ func TestReshardSteadyStateMatchesFreshDeploy(t *testing.T) {
 }
 
 // TestReshardRefusals pins the guard rails: no resharding mid-flight
-// resharding (exercised implicitly), with the lock layer off, or with
-// epoch routing disabled; and resharding to the current count is a
-// no-op.
+// resharding (exercised implicitly) or with the lock layer off; and
+// resharding to the current count is a no-op.
 func TestReshardRefusals(t *testing.T) {
-	tb, d := reshardRig(t, 1000, 1, 2, func(cfg *params.Config) { cfg.COFS.DisableTxnLocks = true })
+	tb, d := reshardRig(t, 1000, 1, 2, nil)
+	core.UnlockForTest(d.Service) // Deploy sends the plane no traffic
 	step(tb, "locked-off", func(p *sim.Proc) {
 		if err := d.Service.Reshard(p, 4); err == nil {
-			t.Error("reshard accepted with DisableTxnLocks set")
-		}
-	})
-
-	tb2, d2 := reshardRig(t, 1001, 1, 2, func(cfg *params.Config) { cfg.COFS.DisableReshardEpochs = true })
-	step(tb2, "epochs-off", func(p *sim.Proc) {
-		if err := d2.Service.Reshard(p, 4); err == nil {
-			t.Error("reshard accepted with DisableReshardEpochs set")
+			t.Error("reshard accepted on an unlocked plane")
 		}
 	})
 

@@ -61,17 +61,6 @@ func (sess *Session) dial(s *Service) *rpc.Conn {
 	return rpc.Dial(s.net, sess.host, s.host, s.cfg.RPCBatch, sess.stats)
 }
 
-// mapView returns the shard-map version this session routes by. With
-// COFSParams.DisableReshardEpochs the plane reverts to static routing
-// straight off the authoritative map (the regression knob the
-// never-resharded cost baseline diffs against).
-func (sess *Session) mapView(c *MDSCluster) *reshard.Map {
-	if c.cfg.DisableReshardEpochs {
-		return c.Maps.Current()
-	}
-	return sess.view
-}
-
 // refetchMap fetches the current shard-map version after a redirect:
 // one round trip to shard 0, which serves the map on the coordinator's
 // behalf. The response carries the map descriptor plus the moved set

@@ -125,8 +125,8 @@ func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent v
 		s.spanNext(p, open, "2pc.commit")
 		// Phase 2: commit the dentry and parent bookkeeping. The
 		// re-validation only matters for mutations that raced phase 0 —
-		// impossible while the row locks are held, reachable again under
-		// DisableTxnLocks — and its failure aborts the prepared row.
+		// impossible while the row locks are held, reachable again on an
+		// unlocked plane — and its failure aborts the prepared row.
 		s.DB.Transaction(p, func(tx *mdb.Tx) {
 			din, err := s.dirRow(tx, ctx, parent, true)
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cofs/internal/bench"
 	"cofs/internal/cluster"
 	"cofs/internal/core"
 	"cofs/internal/params"
@@ -20,8 +21,8 @@ import (
 //     rename-vs-rename and rename-vs-remove races that the unlocked
 //     validate→commit protocol loses (the ROADMAP open item PR 2's
 //     concurrency storm found). Each replay sweeps the start offset of
-//     the second mutation across the first one's protocol window; with
-//     COFSParams.DisableTxnLocks (the unlocked protocol) some offset
+//     the second mutation across the first one's protocol window; on
+//     an unlocked plane (core.UnlockForTest) some offset
 //     must corrupt the plane invariants, and with the lock layer on no
 //     offset may — and the final namespace must be one of the two
 //     serial outcomes.
@@ -31,10 +32,11 @@ import (
 //     uncontended lock acquisition charges nothing.
 
 // txnRig deploys an n-node COFS at the given shard count; mut, if
-// non-nil, adjusts the configuration before deployment (the tests here
-// use it to select the lock-layer mode: the default shared/exclusive
-// table, COFSParams.ExclusiveRowLocks, or COFSParams.DisableTxnLocks).
-func txnRig(t *testing.T, seed int64, nodes, shards int, mut func(cfg *params.Config)) (*cluster.Testbed, *core.Deployment) {
+// non-nil, adjusts the configuration before deployment, and lockMode,
+// if non-nil, selects a reference lock mode on the plane before any
+// traffic (core.UnlockForTest or core.ExclusiveRowLocksForTest; nil
+// keeps the default shared/exclusive table).
+func txnRig(t *testing.T, seed int64, nodes, shards int, mut func(cfg *params.Config), lockMode func(*core.MDSCluster)) (*cluster.Testbed, *core.Deployment) {
 	t.Helper()
 	cfg := params.Default()
 	cfg.COFS.MetadataShards = shards
@@ -44,13 +46,24 @@ func txnRig(t *testing.T, seed int64, nodes, shards int, mut func(cfg *params.Co
 	}
 	tb := cluster.New(seed, nodes, cfg)
 	d := core.Deploy(tb, nil)
+	if lockMode != nil {
+		lockMode(d.Service)
+	}
 	tb.Run()
 	return tb, d
 }
 
-// unlockedCfg / exclusiveCfg select the regression lock modes.
-func unlockedCfg(cfg *params.Config)  { cfg.COFS.DisableTxnLocks = true }
-func exclusiveCfg(cfg *params.Config) { cfg.COFS.ExclusiveRowLocks = true }
+// exclusiveIf selects the exclusive-only table when excl is set.
+func exclusiveIf(excl bool) func(*core.MDSCluster) {
+	if excl {
+		return core.ExclusiveRowLocksForTest
+	}
+	return nil
+}
+
+// syncWAL runs the shard WAL synchronously, so each create's durable
+// commit lands inside its locked span.
+func syncWAL(cfg *params.Config) { cfg.COFS.LogFlushInterval = 0 }
 
 // raceOffsets is the sweep of start delays for the second mutation of
 // each replay: 0 to 3ms in 150µs steps, densely covering the first
@@ -81,11 +94,11 @@ func TestRenameRenameRaceInterleaving(t *testing.T) {
 		counters *stats.Counters
 	}
 	run := func(delta time.Duration, unlocked bool) outcome {
-		var mut func(*params.Config)
+		var mode func(*core.MDSCluster)
 		if unlocked {
-			mut = unlockedCfg
+			mode = core.UnlockForTest
 		}
-		tb, d := txnRig(t, 31, 2, 2, mut)
+		tb, d := txnRig(t, 31, 2, 2, nil, mode)
 		ctx0, ctx1 := cluster.Ctx(0, 1), cluster.Ctx(1, 1)
 		step(tb, "setup", func(p *sim.Proc) {
 			for _, dir := range []string{"/a", "/b", "/c"} {
@@ -163,11 +176,11 @@ func TestRenameRenameRaceInterleaving(t *testing.T) {
 // other name keeps a live inode with nlink=1 in either serial order.
 func TestRenameRemoveRaceInterleaving(t *testing.T) {
 	run := func(delta time.Duration, unlocked bool) (nlink int, statErr error, invErr error) {
-		var mut func(*params.Config)
+		var mode func(*core.MDSCluster)
 		if unlocked {
-			mut = unlockedCfg
+			mode = core.UnlockForTest
 		}
-		tb, d := txnRig(t, 33, 2, 2, mut)
+		tb, d := txnRig(t, 33, 2, 2, nil, mode)
 		ctx0, ctx1 := cluster.Ctx(0, 1), cluster.Ctx(1, 1)
 		step(tb, "setup", func(p *sim.Proc) {
 			for _, dir := range []string{"/a", "/c", "/d"} {
@@ -229,7 +242,7 @@ func TestRenameRemoveRaceInterleaving(t *testing.T) {
 // of different names in one shared directory, offset-swept like the
 // rename replays above. Both creates coordinate at the parent's shard
 // and both footprints meet on the parent directory's inode row — with
-// exclusive-only locks (COFSParams.ExclusiveRowLocks) the second
+// exclusive-only locks (core.ExclusiveRowLocksForTest) the second
 // create must park there for the overlapping offsets, so its
 // validate→commit span strictly follows the first's; with the
 // shared/exclusive table the parent row is Shared and the two spans
@@ -249,10 +262,7 @@ func TestCreateCreateOverlapInterleaving(t *testing.T) {
 		bothOK            bool
 	}
 	run := func(delta time.Duration, excl bool) outcome {
-		tb, d := txnRig(t, 37, 2, 2, func(cfg *params.Config) {
-			cfg.COFS.LogFlushInterval = 0
-			cfg.COFS.ExclusiveRowLocks = excl
-		})
+		tb, d := txnRig(t, 37, 2, 2, syncWAL, exclusiveIf(excl))
 		ctx0, ctx1 := cluster.Ctx(0, 1), cluster.Ctx(1, 1)
 		step(tb, "setup", func(p *sim.Proc) {
 			if err := d.Mounts[0].Mkdir(p, ctx0, "/shared", 0777); err != nil {
@@ -334,10 +344,7 @@ func TestCreateCreateOverlapInterleaving(t *testing.T) {
 // shared flushes — strictly fewer syncs and a strictly earlier finish.
 func TestCreateStormGroupCommitBatching(t *testing.T) {
 	run := func(excl bool) (syncs int64, now time.Duration, conflicts int64) {
-		tb, d := txnRig(t, 41, 4, 2, func(cfg *params.Config) {
-			cfg.COFS.LogFlushInterval = 0
-			cfg.COFS.ExclusiveRowLocks = excl
-		})
+		tb, d := txnRig(t, 41, 4, 2, syncWAL, exclusiveIf(excl))
 		ctx0 := cluster.Ctx(0, 1)
 		step(tb, "setup", func(p *sim.Proc) {
 			if err := d.Mounts[0].Mkdir(p, ctx0, "/shared", 0777); err != nil {
@@ -385,22 +392,76 @@ func TestCreateStormGroupCommitBatching(t *testing.T) {
 	}
 }
 
+// BenchmarkGroupCommitOverlap measures the group-commit overlap the
+// shared/exclusive row-lock split recovers (docs/transactions.md): a
+// same-directory create storm — 16 ranks (4 nodes x 4 procs) all
+// creating and deleting distinct files in one shared virtual directory
+// — at 1, 2 and 4 metadata shards, with the exclusive-only table
+// (core.ExclusiveRowLocksForTest) versus the mode-aware default. Every
+// create meets on the parent directory's inode row: exclusive-only
+// serializes the whole validate→commit spans there, shared/exclusive
+// overlaps them (the dentry rows written stay exclusive).
+// docs/transactions.md records the figures. One shard has no lock
+// table at all, so it runs only the default arm, as the baseline
+// (TestTxnLocksUncontendedCostIdentical pins the uncontended
+// equivalence at 2 and 4 shards).
+func BenchmarkGroupCommitOverlap(b *testing.B) {
+	run := func(seed int64, shards int, excl bool) float64 {
+		cfg := params.Default()
+		cfg.COFS.MetadataShards = shards
+		tb := cluster.New(seed, 4, cfg)
+		d := core.Deploy(tb, nil)
+		if excl {
+			core.ExclusiveRowLocksForTest(d.Service)
+		}
+		t := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
+		res := bench.Metarates(t, bench.MetaratesConfig{
+			Nodes: 4, ProcsPerNode: 4, FilesPerProc: 128,
+			Dir: "/shared", Ops: []string{"create"},
+		})
+		return res.MeanMs("create")
+	}
+	for _, shards := range []int{1, 2, 4} {
+		for _, mode := range []string{"exclusive", "shared-exclusive"} {
+			if shards == 1 && mode == "exclusive" {
+				continue
+			}
+			b.Run(fmt.Sprintf("%s-%dshards", mode, shards), func(b *testing.B) {
+				var ms float64
+				for i := 0; i < b.N; i++ {
+					ms = run(int64(i+1), shards, mode == "exclusive")
+				}
+				b.ReportMetric(ms, "vms/op")
+			})
+		}
+	}
+}
+
 // TestTxnLocksUncontendedCostIdentical pins the cost contract of the
 // lock layer, three ways: with no contention, acquiring and releasing
 // row locks charges nothing — a single-process workload over every
 // cross-shard mutation path must land on exactly the same virtual
 // clock and move exactly the same number of network messages with the
 // shared/exclusive table, with the exclusive-only table
-// (COFSParams.ExclusiveRowLocks), and with the layer off entirely
-// (COFSParams.DisableTxnLocks). The three-way diff keeps the
-// bit-identical-figures guarantee pinned for the mode split too. (PR 2
-// pinned the RPC transport the same way.)
+// (core.ExclusiveRowLocksForTest), and with the layer off entirely
+// (core.UnlockForTest). The three-way diff keeps the
+// bit-identical-figures guarantee pinned for the mode split too, and
+// the default arm is also held to absolute figures, so a drift that
+// moves all three arms alike cannot pass either.
 func TestTxnLocksUncontendedCostIdentical(t *testing.T) {
-	for _, shards := range []int{2, 4} {
-		shards := shards
+	for _, pin := range []struct {
+		shards   int
+		now      time.Duration
+		msgs     int64
+		acquires int64
+	}{
+		{2, 1421295190 * time.Nanosecond, 612, 67},
+		{4, 1459657419 * time.Nanosecond, 656, 67},
+	} {
+		shards := pin.shards
 		t.Run(fmt.Sprintf("%dshards", shards), func(t *testing.T) {
-			run := func(mut func(*params.Config)) (time.Duration, int64, int64, int64) {
-				tb, d := txnRig(t, 55, 2, shards, mut)
+			run := func(lockMode func(*core.MDSCluster)) (time.Duration, int64, int64, int64) {
+				tb, d := txnRig(t, 55, 2, shards, nil, lockMode)
 				ctx := cluster.Ctx(0, 1)
 				step(tb, "workload", func(p *sim.Proc) {
 					m := d.Mounts[0]
@@ -444,8 +505,12 @@ func TestTxnLocksUncontendedCostIdentical(t *testing.T) {
 				return tb.Env.Now(), tb.Net.Messages, c.Get("mds.lock-acquires"), c.Get("mds.lock-conflicts")
 			}
 			sxNow, sxMsgs, sxAcquires, sxConflicts := run(nil)
-			exclNow, exclMsgs, exclAcquires, exclConflicts := run(exclusiveCfg)
-			offNow, offMsgs, _, _ := run(unlockedCfg)
+			exclNow, exclMsgs, exclAcquires, exclConflicts := run(core.ExclusiveRowLocksForTest)
+			offNow, offMsgs, _, _ := run(core.UnlockForTest)
+			if sxNow != pin.now || sxMsgs != pin.msgs || sxAcquires != pin.acquires {
+				t.Fatalf("uncontended workload drifted: (%v, %d msgs, %d lock acquires), pinned (%v, %d msgs, %d lock acquires)",
+					sxNow, sxMsgs, sxAcquires, pin.now, pin.msgs, pin.acquires)
+			}
 			if sxAcquires == 0 || exclAcquires == 0 {
 				t.Fatal("workload took no row locks: it no longer exercises the lock layer")
 			}

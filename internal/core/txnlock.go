@@ -81,7 +81,7 @@ func (s *Service) dentKey(parent vfs.Ino, name string) lock.RowKey {
 }
 
 // rowTxn is one mutation's footprint in the plane's row-lock table. A
-// nil rowTxn (unsharded plane, or COFSParams.DisableTxnLocks) is a
+// nil rowTxn (unsharded plane, or a plane running unlocked) is a
 // valid no-op: every method tolerates it, so call sites stay
 // unconditional.
 type rowTxn struct {
@@ -102,7 +102,7 @@ type rowTxn struct {
 // runs inside the mutation's serialized table transaction, so it
 // happens-before or happens-after a migration batch's transactions,
 // never between them. Always false on a plane that never reshards, and
-// on DisableTxnLocks planes (which refuse to reshard).
+// on unlocked planes (which refuse to reshard).
 func (s *Service) staleProtocol(t *rowTxn) bool {
 	if t == nil && s.sharded() && s.cluster.rowLocks != nil {
 		s.cluster.ctr.reshard.Redirects++

@@ -196,8 +196,8 @@ type RowLocks struct {
 
 	// ExclusiveOnly reverts the table to PR 3's exclusive-only locks:
 	// every acquisition, Shared requests included, takes its row
-	// Exclusive. Comparison and regression knob
-	// (params.COFSParams.ExclusiveRowLocks); set it before first use.
+	// Exclusive. The comparison arm of the overlap tests and benchmark
+	// (core's test seam ExclusiveRowLocksForTest); set it before first use.
 	ExclusiveOnly bool
 
 	// OnGrant, when non-nil, is invoked at every grant instant — the

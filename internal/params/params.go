@@ -183,50 +183,22 @@ type COFSParams struct {
 	// measured prototype); when both AttrLease and AttrCacheTimeout are
 	// set, leases win.
 	AttrLease time.Duration
-	// DisableTxnLocks turns off the lock-ordered cross-shard
-	// transaction layer (docs/transactions.md), reverting multi-shard
-	// mutations to the unlocked validate→commit protocol that can
-	// corrupt nlink/dentry invariants under conflicting concurrent
-	// renames and removes. Debugging and regression-replay knob only:
-	// the tests in internal/core/twophase_test.go set it to demonstrate
-	// the races the locks close, and the uncontended-cost baseline
-	// diffs against it. The knob is spelled as a disable so the zero
-	// value is the safe default.
-	DisableTxnLocks bool
-	// ExclusiveRowLocks reverts the row-lock table of the cross-shard
-	// transaction layer to exclusive-only locks: every acquisition,
-	// including the Shared read-dependency footprints (above all the
-	// parent directory's inode row under concurrent creates), takes
-	// its row exclusively, serializing same-directory mutations across
-	// their whole validate→commit spans. Comparison and regression
-	// knob (BenchmarkGroupCommitOverlap measures the group-commit
-	// overlap the shared/exclusive split recovers); the zero value
-	// keeps the mode-aware table. Uncontended acquisition charges
-	// nothing in either mode, so uncontended workloads are
-	// bit-identical across both settings and DisableTxnLocks.
-	ExclusiveRowLocks bool
 	// ReshardBatchRows bounds how many groups (inode ids, with their
 	// dentries and mappings) one resharding batch migrates while
 	// holding their row locks: the unit of the dip a live reshard
 	// inflicts on concurrent traffic (see internal/reshard and
 	// docs/resharding.md). 0 selects the default (64).
 	ReshardBatchRows int
-	// DisableReshardEpochs reverts client routing to the static shard
-	// map: sessions route by the authoritative map directly instead of
-	// their fetched epoch version, and MDSCluster.Reshard refuses to
-	// run. Debugging and regression knob only: the never-resharded
-	// cost baseline (TestReshardDormantCostIdentical) diffs against it
-	// to pin that the dormant epoch machinery charges nothing.
-	DisableReshardEpochs bool
 	// MetadataStore names the per-shard store backend deployed behind
 	// the metadata plane, resolved through the provider registry
 	// (internal/store; docs/backends.md). "" and "mdb" select the
 	// Mnesia-style WAL store the paper's prototype ran — the default
 	// deployment is bit-identical to a build without the registry,
-	// pinned by a cost-identity test the same way DisableTxnLocks and
-	// DisableReshardEpochs are. "mdls" selects the log-structured
-	// checkpoint+journal store. Unknown names fail deployment fast with
-	// the registered list.
+	// pinned by an absolute cost test (TestStoreAbsoluteCostPin), the
+	// way the dormant reshard machinery and the uncontended lock layer
+	// are pinned. "mdls" selects the log-structured checkpoint+journal
+	// store. Unknown names fail deployment fast with the registered
+	// list.
 	MetadataStore string
 	// RPCBatch enables request batching on the client→shard (and
 	// shard→shard) RPC channels: concurrent requests to the same shard
