@@ -24,14 +24,24 @@ import (
 	"cofs/internal/trace"
 )
 
+// target builds a nodes-node testbed and returns a target over its bare
+// GPFS mounts or, with useCOFS, over a COFS deployment placed by place
+// (nil: the default placement), which is returned too.
+func target(seed int64, nodes int, cfg params.Config, useCOFS bool, place core.Placement) (bench.Target, *core.Deployment) {
+	tb := cluster.New(seed, nodes, cfg)
+	t := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
+	var d *core.Deployment
+	if useCOFS {
+		d = core.Deploy(tb, place)
+		t.Mounts = d.Mounts
+	}
+	return t, d
+}
+
 // metaratesMs runs one metarates configuration and returns the mean
 // virtual latency of op in milliseconds.
 func metaratesMs(seed int64, useCOFS bool, nodes, filesPerProc int, op string) float64 {
-	tb := cluster.New(seed, nodes, params.Default())
-	t := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
-	if useCOFS {
-		t.Mounts = core.Deploy(tb, nil).Mounts
-	}
+	t, _ := target(seed, nodes, params.Default(), useCOFS, nil)
 	res := bench.Metarates(t, bench.MetaratesConfig{
 		Nodes: nodes, ProcsPerNode: 1, FilesPerProc: filesPerProc,
 		Dir: "/shared", Ops: []string{op},
@@ -45,17 +55,47 @@ func reportMs(b *testing.B, ms float64) {
 	b.ReportMetric(ms, "vms/op")
 }
 
+// metered runs fn once per iteration, seeded with the iteration number
+// from 1, and returns the last run's result and host cost.
+func metered[T any](b *testing.B, fn func(seed int64) T) (T, *bench.Meter) {
+	var res T
+	mt := new(bench.Meter)
+	for i := 0; i < b.N; i++ {
+		mt.Start()
+		res = fn(int64(i + 1))
+		mt.Stop()
+	}
+	return res, mt
+}
+
+// runMs runs the sub-benchmark name over fn, reporting the last run's
+// vms/op.
+func runMs(b *testing.B, name string, fn func(seed int64) float64) {
+	b.Run(name, func(b *testing.B) {
+		ms, _ := metered(b, fn)
+		reportMs(b, ms)
+	})
+}
+
+// gate writes rec as a gated record (bench/baseline.json): the host
+// cost mt measured over ops operations, plus the counters c if set.
+func gate(b *testing.B, mt *bench.Meter, rec bench.Record, ops int, c *stats.Counters) {
+	mt.Fill(&rec, ops)
+	if c != nil {
+		rec.SetCounters(c)
+	}
+	if err := bench.WriteRecord(rec); err != nil {
+		b.Logf("bench record: %v", err)
+	}
+}
+
 // BenchmarkFig1SingleNodeGPFS regenerates Fig. 1: single-node latency
 // versus directory size on bare GPFS.
 func BenchmarkFig1SingleNodeGPFS(b *testing.B) {
 	for _, op := range bench.DefaultOps {
 		for _, size := range []int{256, 1024, 2560} {
-			b.Run(fmt.Sprintf("%s-%dfiles", op, size), func(b *testing.B) {
-				var ms float64
-				for i := 0; i < b.N; i++ {
-					ms = metaratesMs(int64(i+1), false, 1, size, op)
-				}
-				reportMs(b, ms)
+			runMs(b, fmt.Sprintf("%s-%dfiles", op, size), func(seed int64) float64 {
+				return metaratesMs(seed, false, 1, size, op)
 			})
 		}
 	}
@@ -66,12 +106,8 @@ func BenchmarkFig1SingleNodeGPFS(b *testing.B) {
 func BenchmarkFig2ParallelGPFS(b *testing.B) {
 	for _, nodes := range []int{4, 8} {
 		for _, op := range bench.DefaultOps {
-			b.Run(fmt.Sprintf("%s-%dn-1024files", op, nodes), func(b *testing.B) {
-				var ms float64
-				for i := 0; i < b.N; i++ {
-					ms = metaratesMs(int64(i+1), false, nodes, 1024/nodes, op)
-				}
-				reportMs(b, ms)
+			runMs(b, fmt.Sprintf("%s-%dn-1024files", op, nodes), func(seed int64) float64 {
+				return metaratesMs(seed, false, nodes, 1024/nodes, op)
 			})
 		}
 	}
@@ -81,12 +117,8 @@ func BenchmarkFig2ParallelGPFS(b *testing.B) {
 func BenchmarkFig4Create(b *testing.B) {
 	for _, stack := range []string{"gpfs", "cofs"} {
 		for _, nodes := range []int{4, 8} {
-			b.Run(fmt.Sprintf("%s-%dn-512perNode", stack, nodes), func(b *testing.B) {
-				var ms float64
-				for i := 0; i < b.N; i++ {
-					ms = metaratesMs(int64(i+1), stack == "cofs", nodes, 512, "create")
-				}
-				reportMs(b, ms)
+			runMs(b, fmt.Sprintf("%s-%dn-512perNode", stack, nodes), func(seed int64) float64 {
+				return metaratesMs(seed, stack == "cofs", nodes, 512, "create")
 			})
 		}
 	}
@@ -96,12 +128,8 @@ func BenchmarkFig4Create(b *testing.B) {
 func BenchmarkFig5Stat(b *testing.B) {
 	for _, stack := range []string{"gpfs", "cofs"} {
 		for _, nodes := range []int{4, 8} {
-			b.Run(fmt.Sprintf("%s-%dn-2048perNode", stack, nodes), func(b *testing.B) {
-				var ms float64
-				for i := 0; i < b.N; i++ {
-					ms = metaratesMs(int64(i+1), stack == "cofs", nodes, 2048, "stat")
-				}
-				reportMs(b, ms)
+			runMs(b, fmt.Sprintf("%s-%dn-2048perNode", stack, nodes), func(seed int64) float64 {
+				return metaratesMs(seed, stack == "cofs", nodes, 2048, "stat")
 			})
 		}
 	}
@@ -112,12 +140,8 @@ func BenchmarkFig5Stat(b *testing.B) {
 func BenchmarkFig6Scale64(b *testing.B) {
 	for _, stack := range []string{"gpfs", "cofs"} {
 		for _, op := range []string{"create", "stat"} {
-			b.Run(fmt.Sprintf("%s-%s", stack, op), func(b *testing.B) {
-				var ms float64
-				for i := 0; i < b.N; i++ {
-					ms = metaratesMs(int64(i+1), stack == "cofs", 64, 256, op)
-				}
-				reportMs(b, ms)
+			runMs(b, fmt.Sprintf("%s-%s", stack, op), func(seed int64) float64 {
+				return metaratesMs(seed, stack == "cofs", 64, 256, op)
 			})
 		}
 	}
@@ -125,11 +149,7 @@ func BenchmarkFig6Scale64(b *testing.B) {
 
 // iorMBps runs one IOR configuration and returns (write, read) MB/s.
 func iorMBps(seed int64, useCOFS bool, nodes int, size int64, shared, random bool) (float64, float64) {
-	tb := cluster.New(seed, nodes, params.Default())
-	t := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
-	if useCOFS {
-		t.Mounts = core.Deploy(tb, nil).Mounts
-	}
+	t, _ := target(seed, nodes, params.Default(), useCOFS, nil)
 	res := bench.IOR(t, bench.IORConfig{
 		Nodes: nodes, AggregateBytes: size, TransferSize: 1 << 20,
 		Shared: shared, Random: random, Dir: "/ior", ReadBack: true,
@@ -183,19 +203,13 @@ func BenchmarkAblationPlacement(b *testing.B) {
 		{"flat-baseline", core.FlatPlacement{}, full},
 	}
 	for _, pol := range policies {
-		b.Run(pol.name, func(b *testing.B) {
-			var ms float64
-			for i := 0; i < b.N; i++ {
-				tb := cluster.New(int64(i+1), 4, pol.cfg)
-				d := core.Deploy(tb, pol.place)
-				t := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
-				res := bench.Metarates(t, bench.MetaratesConfig{
-					Nodes: 4, ProcsPerNode: 1, FilesPerProc: 512,
-					Dir: "/shared", Ops: []string{"create"},
-				})
-				ms = res.MeanMs("create")
-			}
-			reportMs(b, ms)
+		runMs(b, pol.name, func(seed int64) float64 {
+			t, _ := target(seed, 4, pol.cfg, true, pol.place)
+			res := bench.Metarates(t, bench.MetaratesConfig{
+				Nodes: 4, ProcsPerNode: 1, FilesPerProc: 512,
+				Dir: "/shared", Ops: []string{"create"},
+			})
+			return res.MeanMs("create")
 		})
 	}
 }
@@ -203,11 +217,8 @@ func BenchmarkAblationPlacement(b *testing.B) {
 // BenchmarkSimKernel measures raw event throughput of the simulation
 // kernel itself (not a paper artifact; a repo health metric).
 func BenchmarkSimKernel(b *testing.B) {
-	tb := cluster.New(1, 1, params.Default())
-	_ = tb
 	b.Run("create-stat-cycle", func(b *testing.B) {
-		tb := cluster.New(1, 1, params.Default())
-		t := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
+		t, _ := target(1, 1, params.Default(), false, nil)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			_ = bench.Metarates(t, bench.MetaratesConfig{
@@ -224,21 +235,13 @@ func BenchmarkSimKernel(b *testing.B) {
 // mechanism analysis centres on).
 func BenchmarkMDTest(b *testing.B) {
 	for _, stack := range []string{"gpfs", "cofs"} {
-		b.Run(stack+"-shared-shift", func(b *testing.B) {
-			var ms float64
-			for i := 0; i < b.N; i++ {
-				tb := cluster.New(int64(i+1), 4, params.Default())
-				t := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
-				if stack == "cofs" {
-					t.Mounts = core.Deploy(tb, nil).Mounts
-				}
-				res := bench.MDTest(t, bench.MDTestConfig{
-					Nodes: 4, Depth: 2, Branch: 4, FilesPerRank: 128,
-					Shared: true, StatShift: true,
-				})
-				ms = res.MeanMs("file-stat")
-			}
-			reportMs(b, ms)
+		runMs(b, stack+"-shared-shift", func(seed int64) float64 {
+			t, _ := target(seed, 4, params.Default(), stack == "cofs", nil)
+			res := bench.MDTest(t, bench.MDTestConfig{
+				Nodes: 4, Depth: 2, Branch: 4, FilesPerRank: 128,
+				Shared: true, StatShift: true,
+			})
+			return res.MeanMs("file-stat")
 		})
 	}
 }
@@ -251,11 +254,7 @@ func BenchmarkTraceReplayBatch(b *testing.B) {
 		b.Run(stack, func(b *testing.B) {
 			var ms float64
 			for i := 0; i < b.N; i++ {
-				tb := cluster.New(int64(i+1), 4, params.Default())
-				t := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
-				if stack == "cofs" {
-					t.Mounts = core.Deploy(tb, nil).Mounts
-				}
+				t, _ := target(int64(i+1), 4, params.Default(), stack == "cofs", nil)
 				tr := trace.GenBatchJobs(trace.BatchConfig{
 					Nodes: 4, Jobs: 64, FilesPerJob: 4, BytesPerFile: 4 << 10,
 					Stagger: 20 * time.Millisecond,
@@ -279,25 +278,19 @@ func BenchmarkAblationDirCap(b *testing.B) {
 		if cap == 0 {
 			name = "cap-unbounded"
 		}
-		b.Run(name, func(b *testing.B) {
-			var ms float64
-			for i := 0; i < b.N; i++ {
-				cfg := params.Default()
-				cfg.COFS.MaxEntriesPerDir = cap
-				cfg.COFS.RandomSubdirs = 1
-				tb := cluster.New(int64(i+1), 4, cfg)
-				// One bucket per node, as in the experiments driver:
-				// the cap is the only variable (the default policy's
-				// occasional node collisions would add noise).
-				d := core.Deploy(tb, core.NodeHashPlacement{Fanout: 64})
-				t := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
-				res := bench.Metarates(t, bench.MetaratesConfig{
-					Nodes: 4, ProcsPerNode: 1, FilesPerProc: 2048,
-					Dir: "/shared", Ops: []string{"create"},
-				})
-				ms = res.MeanMs("create")
-			}
-			reportMs(b, ms)
+		runMs(b, name, func(seed int64) float64 {
+			cfg := params.Default()
+			cfg.COFS.MaxEntriesPerDir = cap
+			cfg.COFS.RandomSubdirs = 1
+			// One bucket per node, as in the experiments driver: the
+			// cap is the only variable (the default policy's occasional
+			// node collisions would add noise).
+			t, _ := target(seed, 4, cfg, true, core.NodeHashPlacement{Fanout: 64})
+			res := bench.Metarates(t, bench.MetaratesConfig{
+				Nodes: 4, ProcsPerNode: 1, FilesPerProc: 2048,
+				Dir: "/shared", Ops: []string{"create"},
+			})
+			return res.MeanMs("create")
 		})
 	}
 }
@@ -306,20 +299,15 @@ func BenchmarkAblationDirCap(b *testing.B) {
 // endpoints (1 vs 32 inodes per lock unit) on the 4-node stat workload.
 func BenchmarkAblationFalseSharing(b *testing.B) {
 	for _, pack := range []int{1, 32} {
-		b.Run(fmt.Sprintf("inodesPerBlock-%d", pack), func(b *testing.B) {
-			var ms float64
-			for i := 0; i < b.N; i++ {
-				cfg := params.Default()
-				cfg.PFS.InodesPerBlock = pack
-				tb := cluster.New(int64(i+1), 4, cfg)
-				t := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
-				res := bench.Metarates(t, bench.MetaratesConfig{
-					Nodes: 4, ProcsPerNode: 1, FilesPerProc: 128,
-					Dir: "/shared", Ops: []string{"stat"},
-				})
-				ms = res.MeanMs("stat")
-			}
-			reportMs(b, ms)
+		runMs(b, fmt.Sprintf("inodesPerBlock-%d", pack), func(seed int64) float64 {
+			cfg := params.Default()
+			cfg.PFS.InodesPerBlock = pack
+			t, _ := target(seed, 4, cfg, false, nil)
+			res := bench.Metarates(t, bench.MetaratesConfig{
+				Nodes: 4, ProcsPerNode: 1, FilesPerProc: 128,
+				Dir: "/shared", Ops: []string{"stat"},
+			})
+			return res.MeanMs("stat")
 		})
 	}
 }
@@ -341,43 +329,22 @@ func BenchmarkShardScaling(b *testing.B) {
 		cfg.COFS.DirFanout = 1024
 		cfg.COFS.RandomSubdirs = 1
 		cfg.PFS.Servers = 16
-		tb := cluster.New(seed, 16, cfg)
-		d := core.Deploy(tb, nil)
-		t := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
+		t, _ := target(seed, 16, cfg, true, nil)
 		return bench.MDTest(t, bench.MDTestConfig{
 			Nodes: 16, ProcsPerNode: 4, Depth: 1, Branch: 4, FilesPerRank: 128,
 			Shared: false,
 		})
 	}
 	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
 		b.Run(fmt.Sprintf("mdtest-create-%dshards", shards), func(b *testing.B) {
-			var res *bench.MDTestResult
-			var mt bench.Meter
-			for i := 0; i < b.N; i++ {
-				mt.Start()
-				res = run(int64(i+1), shards)
-				mt.Stop()
-			}
+			res, mt := metered(b, func(seed int64) *bench.MDTestResult { return run(seed, shards) })
 			reportMs(b, res.MeanMs("file-create"))
-			rec := bench.Record{
+			b.ReportMetric(res.MeanMs("file-stat"), "vms/op-stat")
+			gate(b, mt, bench.Record{
 				Name: fmt.Sprintf("shard-scaling/create-%dshards", shards), Shards: shards,
 				VmsPerOp: res.MeanMs("file-create"),
 				Extra:    map[string]float64{"vms_per_op_stat": res.MeanMs("file-stat")},
-			}
-			mt.Fill(&rec, res.TotalOps())
-			if err := bench.WriteRecord(rec); err != nil {
-				b.Logf("bench record: %v", err)
-			}
-		})
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("mdtest-stat-%dshards", shards), func(b *testing.B) {
-			var res *bench.MDTestResult
-			for i := 0; i < b.N; i++ {
-				res = run(int64(i+1), shards)
-			}
-			reportMs(b, res.MeanMs("file-stat"))
+			}, res.TotalOps(), nil)
 		})
 	}
 }
@@ -399,153 +366,84 @@ func BenchmarkMillionFileStorm(b *testing.B) {
 		cfg.COFS.DirFanout = 4096
 		cfg.COFS.RandomSubdirs = 1
 		cfg.PFS.Servers = 64
-		tb := cluster.New(seed, 64, cfg)
-		d := core.Deploy(tb, nil)
-		t := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
+		t, _ := target(seed, 64, cfg, true, nil)
 		return bench.MDTest(t, bench.MDTestConfig{
 			Nodes: 64, ProcsPerNode: 16, Depth: 1, Branch: 4, FilesPerRank: 1024,
 			Shared: false,
 			Phases: []string{"tree-create", "file-create", "file-stat"},
 		})
 	}
-	var res *bench.MDTestResult
-	var mt bench.Meter
-	for i := 0; i < b.N; i++ {
-		mt.Start()
-		res = run(int64(i + 1))
-		mt.Stop()
-	}
+	res, mt := metered(b, run)
 	reportMs(b, res.MeanMs("file-create"))
 	b.ReportMetric(res.MeanMs("file-stat"), "vms/op-stat")
-	rec := bench.Record{
+	gate(b, mt, bench.Record{
 		Name: "million-file-storm", Shards: 8,
 		VmsPerOp: res.MeanMs("file-create"),
 		Extra: map[string]float64{
 			"vms_per_op_stat": res.MeanMs("file-stat"),
 			"files":           float64(res.PhaseOps["file-create"]),
 		},
-	}
-	mt.Fill(&rec, res.TotalOps())
-	if err := bench.WriteRecord(rec); err != nil {
-		b.Logf("bench record: %v", err)
-	}
+	}, res.TotalOps(), nil)
 }
 
-// BenchmarkMetadataCache documents the section IV-B win: the
-// metarates-style stat/utime storm (4 nodes repeatedly `ls -l`-ing a
-// shared 256-file directory with cross-node utime sweeps in between),
-// with the client cache off versus the coherent lease cache on, at 1
-// and 4 metadata shards. The lease rows must show a clear vms/op
-// reduction on the stat-heavy workload while recalls keep the cache
-// coherent (TestLeaseCacheCrossNodeCoherence pins correctness).
-func BenchmarkMetadataCache(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		for _, mode := range []string{"nocache", "lease"} {
-			shards, mode := shards, mode
-			b.Run(fmt.Sprintf("%s-%dshards", mode, shards), func(b *testing.B) {
-				var sum *stats.Summary
-				var mt bench.Meter
-				for i := 0; i < b.N; i++ {
-					cfg := params.Default()
-					cfg.COFS.MetadataShards = shards
-					if mode == "lease" {
-						cfg.COFS.AttrLease = 30 * time.Second
-					}
-					mt.Start()
-					sum, _ = experiments.ClientCacheStorm(int64(i+1), cfg)
-					mt.Stop()
-				}
-				reportMs(b, sum.MeanMs())
-				rec := bench.Record{
-					Name: fmt.Sprintf("metadata-cache/%s-%dshards", mode, shards), Shards: shards,
-					VmsPerOp: sum.MeanMs(),
-					P50Ms:    float64(sum.Percentile(50)) / float64(time.Millisecond),
-					P99Ms:    float64(sum.Percentile(99)) / float64(time.Millisecond),
-				}
-				mt.Fill(&rec, sum.N())
-				if err := bench.WriteRecord(rec); err != nil {
-					b.Logf("bench record: %v", err)
-				}
-			})
+// BenchmarkStatStorm gates the section IV-B trigger, the `ls -l`
+// storm of experiments.ClientCacheStorm (8 ranks repeatedly stat-ing a
+// shared 256-file directory while each rank's utime sweep keeps
+// mutations landing on the primaries), over one table of deployment
+// cells:
+//
+//   - nocache: the paper's plane, reads on the primaries, at 1/2/4
+//     shards — the reference every other cell is read against;
+//   - lease: the coherent 30 s lease cache (docs/rpc.md), which must
+//     show a clear vms/op reduction while recalls keep it coherent
+//     (TestLeaseCacheCrossNodeCoherence pins correctness);
+//   - standby: reads routed through per-shard hot standbys
+//     (docs/replication.md); mds.standby-reads / mds.standby-fallbacks
+//     pin how many reads the freshness gate served versus redirected;
+//   - one 1-shard cell per non-default registered store backend
+//     (docs/backends.md), pinning its cost envelope — a newly
+//     registered backend gets its gated row without editing this table.
+//
+// Every cell records the stat mean, p50/p99 and the deployment
+// counters as BENCH_stat-storm-<cell>.json.
+func BenchmarkStatStorm(b *testing.B) {
+	type cell struct {
+		mode   string
+		shards int
+		set    func(*params.COFSParams)
+	}
+	paper := func(*params.COFSParams) {}
+	lease := func(c *params.COFSParams) { c.AttrLease = 30 * time.Second }
+	standby := func(c *params.COFSParams) { c.StandbyReads = true }
+	cells := []cell{
+		{"nocache", 1, paper}, {"nocache", 2, paper}, {"nocache", 4, paper},
+		{"lease", 1, lease}, {"lease", 4, lease},
+		{"standby", 1, standby}, {"standby", 2, standby},
+	}
+	for _, backend := range store.Names() {
+		if backend != store.DefaultName {
+			cells = append(cells, cell{backend, 1, func(c *params.COFSParams) { c.MetadataStore = backend }})
 		}
 	}
-}
-
-// BenchmarkStoreBackends is the gated smoke test of the pluggable
-// store layer (docs/backends.md): the client-cache storm on a
-// single-shard plane, once per registered backend. The mdb row must
-// stay bit-identical to the pre-seam store (the same workload
-// BenchmarkMetadataCache gates); the mdls row pins the log-structured
-// engine's cost envelope so a change to its append/compaction model
-// cannot slip through unmeasured.
-func BenchmarkStoreBackends(b *testing.B) {
-	for _, backend := range store.Names() {
-		backend := backend
-		b.Run(backend+"-smoke", func(b *testing.B) {
-			var sum *stats.Summary
-			var mt bench.Meter
-			for i := 0; i < b.N; i++ {
-				cfg := params.Default()
-				cfg.COFS.MetadataStore = backend
-				mt.Start()
-				sum, _ = experiments.ClientCacheStorm(int64(i+1), cfg)
-				mt.Stop()
-			}
+	for _, c := range cells {
+		name := fmt.Sprintf("%s-%dshards", c.mode, c.shards)
+		b.Run(name, func(b *testing.B) {
+			cfg := params.Default()
+			cfg.COFS.MetadataShards = c.shards
+			c.set(&cfg.COFS)
+			var counters *stats.Counters
+			sum, mt := metered(b, func(seed int64) (sum *stats.Summary) {
+				sum, counters = experiments.ClientCacheStorm(seed, cfg)
+				return sum
+			})
 			reportMs(b, sum.MeanMs())
-			rec := bench.Record{
-				Name: "store-backend/" + backend + "-smoke", Shards: 1,
+			gate(b, mt, bench.Record{
+				Name: "stat-storm/" + name, Shards: c.shards,
 				VmsPerOp: sum.MeanMs(),
 				P50Ms:    float64(sum.Percentile(50)) / float64(time.Millisecond),
 				P99Ms:    float64(sum.Percentile(99)) / float64(time.Millisecond),
-			}
-			mt.Fill(&rec, sum.N())
-			if err := bench.WriteRecord(rec); err != nil {
-				b.Logf("bench record: %v", err)
-			}
+			}, sum.N(), counters)
 		})
-	}
-}
-
-// BenchmarkStandbyReads pins the standby read path (docs/replication.md):
-// the stat-dominated storm — 8 ranks `ls -l`-ing a shared 256-file
-// directory while every rank's utime sweep keeps mutations landing on
-// the primaries — once per shard count with reads on the primaries
-// (off) and once routed through the per-shard hot standbys (on). The
-// off rows must stay bit-identical to the pre-standby plane (the
-// cost-identity contract of the StandbyReads knob); the on rows pin
-// the win — stats escape the mutation-loaded primaries — and the
-// mds.standby-reads / mds.standby-fallbacks counters in the record pin
-// how many reads the freshness gate actually served versus redirected.
-func BenchmarkStandbyReads(b *testing.B) {
-	for _, shards := range []int{1, 2} {
-		for _, mode := range []string{"off", "on"} {
-			shards, mode := shards, mode
-			b.Run(fmt.Sprintf("%s-%dshards", mode, shards), func(b *testing.B) {
-				var sum *stats.Summary
-				var c *stats.Counters
-				var mt bench.Meter
-				for i := 0; i < b.N; i++ {
-					cfg := params.Default()
-					cfg.COFS.MetadataShards = shards
-					cfg.COFS.StandbyReads = mode == "on"
-					mt.Start()
-					sum, c = experiments.StandbyReadStorm(int64(i+1), cfg)
-					mt.Stop()
-				}
-				reportMs(b, sum.MeanMs())
-				rec := bench.Record{
-					Name: fmt.Sprintf("standby-reads/%s-%dshards", mode, shards), Shards: shards,
-					VmsPerOp: sum.MeanMs(),
-					P50Ms:    float64(sum.Percentile(50)) / float64(time.Millisecond),
-					P99Ms:    float64(sum.Percentile(99)) / float64(time.Millisecond),
-				}
-				mt.Fill(&rec, sum.N())
-				rec.SetCounters(c)
-				if err := bench.WriteRecord(rec); err != nil {
-					b.Logf("bench record: %v", err)
-				}
-			})
-		}
 	}
 }
 
@@ -561,13 +459,11 @@ func BenchmarkStandbyReads(b *testing.B) {
 // fresh-2-shard row. Results are also written as
 // BENCH_reshard-under-load-*.json records.
 func BenchmarkReshardUnderLoad(b *testing.B) {
-	run := func(seed int64, shards, target int) (*bench.MetaratesResult, *core.Deployment, error) {
+	run := func(seed int64, shards, to int) (*bench.MetaratesResult, *core.Deployment, error) {
 		cfg := params.Default()
 		cfg.COFS.MetadataShards = shards
 		cfg.COFS.AttrLease = 30 * time.Second
-		tb := cluster.New(seed, 4, cfg)
-		d := core.Deploy(tb, nil)
-		t := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
+		t, d := target(seed, 4, cfg, true, nil)
 		mcfg := bench.MetaratesConfig{
 			Nodes: 4, ProcsPerNode: 2, FilesPerProc: 256,
 			Dir: "/shared", Ops: []string{"create", "stat", "utime"},
@@ -575,10 +471,10 @@ func BenchmarkReshardUnderLoad(b *testing.B) {
 		// The hook runs on a spawned sim proc: record the error and
 		// surface it on the sub-benchmark's goroutine after the run.
 		var reshardErr error
-		if target > 0 {
+		if to > 0 {
 			mcfg.PhaseHook = func(p *sim.Proc, phase string) {
 				if phase == "stat" && reshardErr == nil {
-					reshardErr = d.Service.Reshard(p, target)
+					reshardErr = d.Service.Reshard(p, to)
 				}
 			}
 		}
@@ -594,20 +490,15 @@ func BenchmarkReshardUnderLoad(b *testing.B) {
 		{"fresh-2shards", 2, 0}, // pre-reshard baseline
 	}
 	for _, tc := range cases {
-		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
-			var res *bench.MetaratesResult
 			var d *core.Deployment
-			var mt bench.Meter
-			for i := 0; i < b.N; i++ {
+			res, mt := metered(b, func(seed int64) (res *bench.MetaratesResult) {
 				var err error
-				mt.Start()
-				res, d, err = run(int64(i+1), tc.shards, tc.target)
-				mt.Stop()
-				if err != nil {
+				if res, d, err = run(seed, tc.shards, tc.target); err != nil {
 					b.Fatalf("mid-storm reshard: %v", err)
 				}
-			}
+				return res
+			})
 			b.ReportMetric(res.MeanMs("stat"), "vms/op-stat")
 			b.ReportMetric(res.MeanMs("utime"), "vms/op-utime")
 			rec := bench.Record{
@@ -622,11 +513,7 @@ func BenchmarkReshardUnderLoad(b *testing.B) {
 			if tc.target > 0 {
 				rec.Extra["target_shards"] = float64(tc.target)
 			}
-			mt.Fill(&rec, res.TotalOps())
-			rec.SetCounters(d.Counters())
-			if err := bench.WriteRecord(rec); err != nil {
-				b.Logf("bench record: %v", err)
-			}
+			gate(b, mt, rec, res.TotalOps(), d.Counters())
 		})
 	}
 	// The crash variant prices the recovery path instead of the storm:
@@ -639,29 +526,26 @@ func BenchmarkReshardUnderLoad(b *testing.B) {
 		// The host-cost normalizer: the rows the interrupted migration
 		// and its recovery re-home (4 nodes x 512 files).
 		const rows = 4 * 512
-		var recoverMs float64
 		var d *core.Deployment
-		var mt bench.Meter
-		for i := 0; i < b.N; i++ {
-			mt.Start()
+		recoverMs, mt := metered(b, func(seed int64) float64 {
 			cfg := params.Default()
 			cfg.COFS.MetadataShards = 2
 			cfg.COFS.AttrLease = 30 * time.Second
-			tb := cluster.New(int64(i+1), 4, cfg)
-			d = core.Deploy(tb, nil)
+			var t bench.Target
+			t, d = target(seed, 4, cfg, true, nil)
 			// Metarates phases unlink what they create, so the plane is
 			// populated directly: the same 2048 rows, left in place for
 			// the migration to move.
-			tb.Env.Spawn("populate", func(p *sim.Proc) {
+			t.Env.Spawn("populate", func(p *sim.Proc) {
 				ctx := cluster.Ctx(0, 1)
 				if err := d.Mounts[0].MkdirAll(p, ctx, "/shared", 0777); err != nil {
 					panic(err)
 				}
 			})
-			tb.Run()
+			t.Env.MustRun()
 			for n := 0; n < 4; n++ {
 				node := n
-				tb.Env.Spawn(fmt.Sprintf("populate-%d", node), func(p *sim.Proc) {
+				t.Env.Spawn(fmt.Sprintf("populate-%d", node), func(p *sim.Proc) {
 					m := d.Mounts[node]
 					ctx := cluster.Ctx(node, 1)
 					for j := 0; j < 512; j++ {
@@ -673,48 +557,41 @@ func BenchmarkReshardUnderLoad(b *testing.B) {
 					}
 				})
 			}
-			tb.Run()
+			t.Env.MustRun()
 			d.Service.OnReshardStep(func(seq int, at core.ReshardPoint) bool {
 				return seq == 5
 			})
 			var reshardErr error
 			var recovered time.Duration
-			tb.Env.Spawn("reshard-crash", func(p *sim.Proc) {
+			t.Env.Spawn("reshard-crash", func(p *sim.Proc) {
 				if err := d.Service.Reshard(p, 4); err != core.ErrReshardInterrupted {
 					reshardErr = fmt.Errorf("reshard returned %v, want interrupt", err)
 					return
 				}
 				d.Service.Crash()
-				start := tb.Env.Now()
+				start := t.Env.Now()
 				d.Service.Recover(p)
-				recovered = tb.Env.Now() - start
+				recovered = t.Env.Now() - start
 				d.Service.AdoptIDCounter()
 			})
-			tb.Run()
+			t.Env.MustRun()
 			if reshardErr != nil {
 				b.Fatal(reshardErr)
 			}
 			if err := d.Service.CheckInvariants(); err != nil {
 				b.Fatalf("invariants after recovery: %v", err)
 			}
-			recoverMs = float64(recovered) / float64(time.Millisecond)
-			mt.Stop()
-		}
+			return float64(recovered) / float64(time.Millisecond)
+		})
 		b.ReportMetric(recoverMs, "vms/recovery")
-		rec := bench.Record{
-			Name:     "reshard-under-load/crash-recover-2to4",
-			Shards:   2,
-			VmsPerOp: recoverMs,
+		gate(b, mt, bench.Record{
+			Name:   "reshard-under-load/crash-recover-2to4",
+			Shards: 2,
 			Extra: map[string]float64{
 				"recovery_vms":  recoverMs,
 				"target_shards": 4,
 			},
-		}
-		mt.Fill(&rec, rows)
-		rec.SetCounters(d.Counters())
-		if err := bench.WriteRecord(rec); err != nil {
-			b.Logf("bench record: %v", err)
-		}
+		}, rows, d.Counters())
 	})
 }
 

@@ -19,6 +19,10 @@
 //     Allocations are near-deterministic for the same binary, so their
 //     tolerance is tight; wall time absorbs CI hardware spread.
 //
+// Either way a record must carry every field its baseline entry has: a
+// dropped host-cost or percentile field, extra or counter fails rather
+// than passing as zero.
+//
 // -update rewrites the baseline from the records in -dir instead of
 // checking, which is also how the file is first created.
 package main
@@ -182,27 +186,16 @@ func compareOne(name string, b, c bench.Record, wallTol, allocTol, pctTol float6
 	if b.Shards != c.Shards {
 		problems = append(problems, fmt.Sprintf("%s: shards = %d, baseline %d", name, c.Shards, b.Shards))
 	}
-	for k, want := range b.Extra {
-		exact("extra."+k, want, c.Extra[k])
-	}
-	for k := range c.Extra {
-		if _, ok := b.Extra[k]; !ok {
-			problems = append(problems, fmt.Sprintf("%s: extra.%s not in baseline", name, k))
-		}
-	}
-	for k, want := range b.Counters {
-		if got := c.Counters[k]; got != want {
-			problems = append(problems,
-				fmt.Sprintf("%s: counter %s = %d, baseline %d (deterministic; must match exactly)", name, k, got, want))
-		}
-	}
-	for k := range c.Counters {
-		if _, ok := b.Counters[k]; !ok {
-			problems = append(problems, fmt.Sprintf("%s: counter %s not in baseline", name, k))
-		}
-	}
+	problems = append(problems, exactMap(name, "extra.", b.Extra, c.Extra)...)
+	problems = append(problems, exactMap(name, "counter ", b.Counters, c.Counters)...)
+	// A field the baseline carries must be in the record too: a record
+	// that stops emitting it (reads 0) fails instead of passing the band.
 	headroom := func(metric string, want, got, tol float64) {
-		if want > 0 && got > want*tol {
+		switch {
+		case want > 0 && got == 0:
+			problems = append(problems,
+				fmt.Sprintf("%s: %s missing from the record, baseline %.4g", name, metric, want))
+		case want > 0 && got > want*tol:
 			problems = append(problems,
 				fmt.Sprintf("%s: %s = %.4g exceeds baseline %.4g x%.2f tolerance", name, metric, got, want, tol))
 		}
@@ -217,5 +210,29 @@ func compareOne(name string, b, c bench.Record, wallTol, allocTol, pctTol float6
 	// with -update to arm them.
 	headroom("p50_ms", b.P50Ms, c.P50Ms, pctTol)
 	headroom("p99_ms", b.P99Ms, c.P99Ms, pctTol)
+	return problems
+}
+
+// exactMap checks one deterministic metric map (extras or counters):
+// every baseline key must be in the record with the same value — a
+// missing key fails even when its baseline value is 0 — and the record
+// may add no key the baseline lacks.
+func exactMap[V int64 | float64](name, kind string, base, cur map[string]V) []string {
+	var problems []string
+	for k, want := range base {
+		got, ok := cur[k]
+		switch {
+		case !ok:
+			problems = append(problems, fmt.Sprintf("%s: %s%s missing from the record, baseline %v", name, kind, k, want))
+		case got != want:
+			problems = append(problems,
+				fmt.Sprintf("%s: %s%s = %v, baseline %v (deterministic metric; must match exactly)", name, kind, k, got, want))
+		}
+	}
+	for k := range cur {
+		if _, ok := base[k]; !ok {
+			problems = append(problems, fmt.Sprintf("%s: %s%s not in baseline", name, kind, k))
+		}
+	}
 	return problems
 }

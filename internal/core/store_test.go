@@ -81,12 +81,12 @@ func TestStoreDefaultCostIdentical(t *testing.T) {
 
 // TestStoreAbsoluteCostPin holds the default backend to the
 // pre-interface baseline figure itself, not just to a sibling run:
-// the BenchmarkMetadataCache nocache-1shards storm (seed 1) must
+// the BenchmarkStatStorm nocache-1shards storm (seed 1) must
 // reproduce the vms/op recorded in bench/baseline.json before the
 // provider registry existed. If this moves, the refactor changed the
 // simulation, not just the wiring.
 func TestStoreAbsoluteCostPin(t *testing.T) {
-	const want = 0.525928 // bench/baseline.json metadata-cache/nocache-1shards
+	const want = 0.525928 // bench/baseline.json stat-storm/nocache-1shards
 	sum, _ := experiments.ClientCacheStorm(1, params.Default())
 	if sum.N() != 6144 {
 		t.Fatalf("storm measured %d stats, baseline measured 6144", sum.N())

@@ -178,15 +178,20 @@ func flushCreateMs(seed int64, interval time.Duration) float64 {
 }
 
 // ClientCacheStorm is the stat/utime storm behind the client-cache
-// ablation and BenchmarkMetadataCache: 4 nodes repeatedly `ls -l` a
-// shared 256-file directory (readdir + per-file stat, three passes)
-// with a utime sweep over each node's own quarter between passes (so
-// lease revocations actually happen). It returns the full stat latency
-// distribution (mean, count and percentiles) and the deployment's
-// per-layer counters. This is the
-// paper's section IV-B trigger — repeated directory traversals over
-// cache-warm files — where GPFS serves from its client cache and the
-// measured COFS prototype paid a round trip per stat.
+// ablation and BenchmarkStatStorm: 4 nodes x 2 procs repeatedly
+// `ls -l` a shared 256-file directory (readdir + per-file stat, three
+// passes) with a utime sweep over each rank's own slice between
+// passes, so lease revocations actually happen and mutations keep
+// landing on the primaries. This is the paper's section IV-B trigger —
+// repeated directory traversals over cache-warm files — where GPFS
+// serves from its client cache and the measured COFS prototype paid a
+// round trip per stat. With cfg.COFS.StandbyReads set the deployment
+// gets a hot standby (2 ms shipping delay) and stats ride the standby
+// shards whenever the replication cursor covers the row; rows inside
+// the shipping window fall back to the primary as a redirect, so the
+// mean carries the protocol's real cost (docs/replication.md). It
+// returns the full stat latency distribution (mean, count and
+// percentiles) and the deployment's per-layer counters.
 func ClientCacheStorm(seed int64, cfg params.Config) (*stats.Summary, *stats.Counters) {
 	const (
 		nodes = 4
@@ -195,6 +200,9 @@ func ClientCacheStorm(seed int64, cfg params.Config) (*stats.Summary, *stats.Cou
 		quota = files / (nodes * procs)
 	)
 	t, tb, d := cofsTarget(seed, nodes, cfg, nil)
+	if cfg.COFS.StandbyReads {
+		core.DeployStandby(tb, d, 2*time.Millisecond)
+	}
 	t.Env.Spawn("setup", func(p *sim.Proc) {
 		ctx := cluster.Ctx(0, 1)
 		if err := t.Mounts[0].MkdirAll(p, ctx, "/data", 0777); err != nil {
@@ -227,7 +235,8 @@ func ClientCacheStorm(seed int64, cfg params.Config) (*stats.Summary, *stats.Cou
 						}
 						sum.Add(p.Now() - start)
 					}
-					// Touch this rank's slice: cross-node revocation load.
+					// Touch this rank's slice: cross-node revocation load
+					// and mutation traffic on the primaries.
 					for i := rank * quota; i < (rank+1)*quota; i++ {
 						if _, err := m.Utime(p, ctx, fmt.Sprintf("/data/f%04d", i)); err != nil {
 							panic(err)
