@@ -15,7 +15,8 @@
 // it instead kills the plane at migration step N, recovers it, and
 // reports the virtual recovery time. Every verb ends with internal/cli's
 // post-run report, which also owns the deployment, observability and
-// profiling flags.
+// profiling flags; the stats verb prints only that report, whose
+// counters cover every layer from the RPC transport to the pfs tokens.
 package main
 
 import (
@@ -212,20 +213,6 @@ func main() {
 		fmt.Print(rep)
 		if !rep.OK() && what == "fsck" {
 			code = 1
-		}
-	}
-	if what == "stats" || what == "all" {
-		fmt.Println("== service / token statistics ==")
-		s := d.Service.Stats()
-		fmt.Printf("  service: requests=%d creates=%d lookups=%d getattrs=%d updates=%d removes=%d peer-rpcs=%d\n",
-			s.Requests, s.Creates, s.Lookups, s.Getattrs, s.Updates, s.Removes, s.PeerCalls)
-		ts := tb.FS.Tokens.Stats
-		fmt.Printf("  underlying tokens: acquires=%d transfers=%d revocations=%d local-grants=%d\n",
-			ts.Acquires, ts.Transfers, ts.Revocations, ts.LocalGrants)
-		for i, fs := range d.FSs {
-			fmt.Printf("  node%02d: serviceOps=%d underCreates=%d underOpens=%d spills=%d writeBacks=%d\n",
-				i, fs.Stats.ServiceOps, fs.Stats.UnderCreates, fs.Stats.UnderOpens,
-				fs.Stats.BucketSpills, fs.Stats.WriteBacks)
 		}
 	}
 	run.Finish(code)

@@ -84,5 +84,5 @@ func main() {
 	})
 	tb.Run()
 	fmt.Printf("simulated time: %v; cofs service handled %d requests\n",
-		tb.Env.Now(), cofs.Service.Stats().Requests)
+		tb.Env.Now(), cofs.Counters().Get("mds.requests"))
 }

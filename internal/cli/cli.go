@@ -59,7 +59,7 @@ func Register(set *flag.FlagSet, seed int64) *Flags {
 	set.BoolVar(&f.RPCBatch, "rpc-batch", false, "cofs: coalesce concurrent RPCs to the same shard into one round trip")
 	set.BoolVar(&f.StandbyReads, "standby-reads", false, "cofs: serve reads from per-shard hot standbys when provably fresh (docs/replication.md)")
 	set.StringVar(&f.TraceOut, "trace", "", "cofs: write a Chrome trace-event JSON of the run to this file (open in Perfetto; docs/observability.md)")
-	set.BoolVar(&f.Metrics, "metrics", false, "cofs: collect and print per-(op, shard) latency histograms and skew rates")
+	set.BoolVar(&f.Metrics, "metrics", false, "cofs: collect and print per-(op, shard) latency histograms and per-shard rates")
 	set.DurationVar(&f.Slowlog, "slowlog", 0, "cofs: print the slowest operation spans at or above this virtual-time threshold (implies tracing)")
 	set.StringVar(&f.CPUProfile, "cpuprofile", "", "write a host CPU profile to this file")
 	set.StringVar(&f.MemProfile, "memprofile", "", "write a host allocation profile to this file")
@@ -176,12 +176,13 @@ func (r *Run) ReshardHook(at string, to int) func(p *sim.Proc, phase string) {
 // -trace file and ends with the virtual time.
 func (r *Run) Report(w io.Writer) error {
 	if d := r.D; d != nil {
-		if d.Service.ReshardStats().Epochs > 0 {
+		c := d.Counters()
+		if c.Get("mds.reshard-epochs") > 0 {
 			fmt.Fprintf(w, "== shards after run: %d (rows per shard: %v) ==\n",
 				d.Service.ServingShards(), d.Service.ShardCounts())
 		}
 		fmt.Fprintf(w, "== per-layer counters (store=%s) ==\n", d.Service.StoreName())
-		d.Counters().Fprint(w, "  ")
+		c.Fprint(w, "  ")
 		if m := d.Metrics(); m != nil {
 			fmt.Fprintln(w, "== latency histograms (virtual time) ==")
 			m.Fprint(w, "  ")

@@ -46,17 +46,17 @@ type clientCache struct {
 // CacheStats counts client-cache events (tooling/ablation surface).
 type CacheStats struct {
 	// Hits and Misses count attribute-cache probes.
-	Hits   int64
-	Misses int64
+	Hits   int64 `counter:"attr-hits"`
+	Misses int64 `counter:"attr-misses"`
 	// DentryHits counts positive dentry-cache hits (lease mode).
-	DentryHits int64
+	DentryHits int64 `counter:"dentry-hits"`
 	// NegativeHits counts Lookups answered ENOENT from a cached
 	// negative dentry (lease mode).
-	NegativeHits int64
+	NegativeHits int64 `counter:"negative-hits"`
 	// Installs counts lease-granted entry installations.
-	Installs int64
+	Installs int64 `counter:"lease-installs"`
 	// Revocations counts entries dropped by a shard's lease recall.
-	Revocations int64
+	Revocations int64 `counter:"lease-revoked"`
 }
 
 type attrCacheEntry struct {

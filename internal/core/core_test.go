@@ -677,7 +677,7 @@ func TestAttrCacheExtensionSpeedsLocalReopens(t *testing.T) {
 			elapsed = p.Now() - start
 		})
 		tb.Env.MustRun()
-		return elapsed, d.FSs[0].AttrCacheHits()
+		return elapsed, d.Counters().Get("cache.attr-hits")
 	}
 	base, baseHits := run(0)
 	cached, hits := run(time.Second)

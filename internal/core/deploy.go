@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"cofs/internal/cluster"
 	"cofs/internal/obs"
@@ -19,6 +18,10 @@ type Deployment struct {
 	Service *MDSCluster
 	FSs     []*FS
 	Mounts  []*vfs.Mount
+
+	// tb is the testbed COFS runs over: its pfs clients, server and
+	// token manager count the underlying file system's work.
+	tb *cluster.Testbed
 }
 
 // Deploy installs COFS on the testbed with the given placement policy
@@ -59,7 +62,7 @@ func Deploy(tb *cluster.Testbed, place Placement) *Deployment {
 		}
 		svc.EnableObs(tr, m)
 	}
-	d := &Deployment{Service: svc}
+	d := &Deployment{Service: svc, tb: tb}
 	// Install-time initialization: pre-create the hash (and random)
 	// levels of the object tree from one node, so runtime creates land
 	// in directories that already exist. The installing client then
@@ -95,68 +98,38 @@ func (d *Deployment) Tracer() *obs.Tracer { return d.Service.Tracer() }
 
 // Metrics returns the deployment's metrics registry — per-(op, shard)
 // latency histograms, queue/lock gauges and the per-shard sliding
-// request/row-move windows (the skew feed) — nil unless
+// request/row-move windows — nil unless
 // COFSParams.Metrics enabled it at deploy time.
 func (d *Deployment) Metrics() *obs.Metrics { return d.Service.Metrics() }
 
-// Counters aggregates the deployment's per-layer observability
-// counters: the RPC transport (client and shard-to-shard channels,
-// batching), the client cache (hits, misses, dentry/negative hits,
-// revocations), the service requests and lease recalls, the
-// cross-shard transaction layer's row locks (acquisitions, conflicts,
-// virtual time spent waiting), resharding and standby reads. Tools
-// print it; tests assert against it.
+// Counters is the deployment's counter registry, one AddFields call per
+// tagged stats block (docs/observability.md lists every name). The
+// client blocks and the pfs client blocks sum over the nodes; per-node
+// values stay on d.FSs[i] and the testbed's clients. Tools print it;
+// tests assert against it.
 //
-// Every figure is read from a block owned by what outlives the
-// components counting into it: each client's transport block (FS) and
-// the serving plane's counter block, which Standby.Promote hands over
-// to the promoted plane. Channels, sessions, shards and planes can be
-// dropped or replaced without any count being lost or folded.
+// Every block is owned by what outlives the components counting into
+// it: each client's transport block (FS) and the serving plane's
+// counter block, which Standby.Promote hands over to the promoted
+// plane. Channels, sessions, shards and planes can be dropped or
+// replaced without any count being lost or folded.
 func (d *Deployment) Counters() *stats.Counters {
 	c := stats.NewCounters()
 	for _, fs := range d.FSs {
-		ts := fs.Session().TransportStats()
-		c.Add("rpc.client.calls", ts.Calls)
-		c.Add("rpc.client.roundtrips", ts.Wire)
-		c.Add("rpc.client.batches", ts.Batches)
-		c.Add("rpc.client.batched-reqs", ts.Batched)
-		c.Add("rpc.client.lease-recalls", ts.Recalls)
-		cs := fs.CacheStats()
-		c.Add("cache.attr-hits", cs.Hits)
-		c.Add("cache.attr-misses", cs.Misses)
-		c.Add("cache.dentry-hits", cs.DentryHits)
-		c.Add("cache.negative-hits", cs.NegativeHits)
-		c.Add("cache.lease-installs", cs.Installs)
-		c.Add("cache.lease-revoked", cs.Revocations)
+		c.AddFields("rpc.client.", &fs.transport)
+		c.AddFields("cache.", &fs.attrs.Stats)
+		c.AddFields("cofs.", &fs.Stats)
 	}
-	svc := d.Service
-	ps := svc.PeerTransportStats()
-	c.Add("rpc.peer.calls", ps.Calls)
-	c.Add("rpc.peer.roundtrips", ps.Wire)
-	c.Add("rpc.peer.batches", ps.Batches)
-	c.Add("rpc.peer.batched-reqs", ps.Batched)
-	sbReads, sbFalls := svc.StandbyReadStats()
-	c.Add("mds.standby-reads", sbReads)
-	c.Add("mds.standby-fallbacks", sbFalls)
-	ss := svc.Stats()
-	c.Add("mds.requests", ss.Requests)
-	c.Add("mds.lease-revocations", ss.Revocations)
-	ls := svc.LockStats()
-	c.Add("mds.lock-acquires", ls.Acquires)
-	c.Add("mds.lock-shared", ls.SharedGrants)
-	c.Add("mds.lock-upgrades", ls.Upgrades)
-	c.Add("mds.lock-conflicts", ls.Conflicts)
-	c.Add("mds.lock-wait-us", int64(ls.WaitTotal/time.Microsecond))
-	rs := svc.ReshardStats()
-	c.Add("mds.reshard-runs", rs.Reshards)
-	c.Add("mds.reshard-epochs", rs.Epochs)
-	c.Add("mds.reshard-groups-moved", rs.GroupsMoved)
-	c.Add("mds.reshard-rows-moved", rs.RowsMoved)
-	c.Add("mds.reshard-bytes-moved", rs.BytesMoved)
-	c.Add("mds.reshard-redirects", rs.Redirects)
-	c.Add("mds.reshard-refetches", rs.Refetches)
-	c.Add("mds.reshard-lease-recalls", rs.Recalls)
-	c.Add("mds.reshard-wal-handoff", rs.HandoffRecords)
-	c.Add("mds.reshard-retired", rs.Retired)
+	ctr := &d.Service.ctr
+	c.AddFields("rpc.peer.", &ctr.peer)
+	c.AddFields("mds.standby-", &ctr.standby)
+	c.AddFields("mds.", &ctr.svc)
+	c.AddFields("mds.lock-", &ctr.locks)
+	c.AddFields("mds.reshard-", &ctr.reshard)
+	for _, pc := range d.tb.Clients {
+		c.AddFields("pfs.client.", &pc.Stats)
+	}
+	c.AddFields("pfs.server.", &d.tb.FS.Stats)
+	c.AddFields("pfs.token.", &d.tb.FS.Tokens.Stats)
 	return c
 }

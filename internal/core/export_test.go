@@ -1,8 +1,9 @@
 package core
 
-// Test seams for the lock layer's reference arms. Each applies to one
-// plane (a primary or a standby) after Deploy and before any plane
-// traffic; the setting survives the plane's reshards.
+// Test seams for the lock layer's reference arms and the migration
+// batch size. Each applies to one plane (a primary or a standby) after
+// Deploy and before any plane traffic; the setting survives the plane's
+// reshards.
 
 // UnlockForTest reverts c to the unlocked validate→commit protocol,
 // the one whose rename-vs-rename and rename-vs-remove races the
@@ -23,3 +24,7 @@ func ExclusiveRowLocksForTest(c *MDSCluster) {
 		c.rowLocks.ExclusiveOnly = true
 	}
 }
+
+// ReshardBatchRowsForTest makes c's migrations move n groups per batch
+// instead of 64, so a small tree crosses several batch boundaries.
+func ReshardBatchRowsForTest(c *MDSCluster, n int) { c.reshardBatch = n }

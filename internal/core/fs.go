@@ -52,12 +52,11 @@ type FS struct {
 
 // FSStats aggregates client-side COFS counters.
 type FSStats struct {
-	ServiceOps       int64
-	UnderCreates     int64
-	UnderOpens       int64
-	BucketSpills     int64
-	WriteBacks       int64
-	LazyOpensSkipped int64
+	ServiceOps   int64 `counter:"service-ops"`
+	UnderCreates int64 `counter:"under-creates"`
+	UnderOpens   int64 `counter:"under-opens"`
+	BucketSpills int64 `counter:"bucket-spills"`
+	WriteBacks   int64 `counter:"write-backs"`
 }
 
 type bucketState struct {
@@ -99,9 +98,6 @@ func NewFS(svc *MDSCluster, host *netsim.Host, node int, under *vfs.Mount, place
 	f.sess = svc.Connect(host, node, cache, &f.transport)
 	return f
 }
-
-// AttrCacheHits reports client attribute-cache hits (tooling/ablation).
-func (f *FS) AttrCacheHits() int64 { return f.attrs.Stats.Hits }
 
 // CacheStats reports the client cache counters (tooling/ablation).
 func (f *FS) CacheStats() CacheStats { return f.attrs.Stats }
@@ -304,7 +300,6 @@ func (f *FS) Open(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino, flags vfs.OpenFlags) (v
 		// must start from the truncated size, not the pre-open one.
 		attr.Size = 0
 	}
-	f.Stats.LazyOpensSkipped++
 	h := f.nextH
 	f.nextH++
 	f.handles[h] = &cofsHandle{id: ino, flags: flags, upath: upath, size: attr.Size, ctx: ctx}
@@ -322,7 +317,6 @@ func (f *FS) ensureUnderFile(p *sim.Proc, h *cofsHandle) error {
 		return err
 	}
 	f.Stats.UnderOpens++
-	f.Stats.LazyOpensSkipped--
 	h.file = uf
 	return nil
 }

@@ -101,12 +101,18 @@ type planeCounters struct {
 	locks lock.RowLockStats
 	// reshard counts the resharding activity (mds.reshard-* counters).
 	reshard reshard.Stats
-	// standbyReads counts reads the read-offload standby served;
-	// standbyFallbacks counts those its cursor could not prove fresh,
-	// answered with a redirect the client pays for by retrying at the
-	// primary (mds.standby-reads / mds.standby-fallbacks).
-	standbyReads     int64
-	standbyFallbacks int64
+	standby StandbyStats
+}
+
+// StandbyStats counts the reads a primary plane offloaded to its
+// read-serving standby (mds.standby-* counters).
+type StandbyStats struct {
+	// Reads counts reads the standby served.
+	Reads int64 `counter:"reads"`
+	// Fallbacks counts reads whose freshness the standby's cursor could
+	// not prove, answered with a redirect the client pays for by
+	// retrying at the primary.
+	Fallbacks int64 `counter:"fallbacks"`
 }
 
 // MDSCluster is the sharded COFS metadata service plane. It exposes the
@@ -157,6 +163,9 @@ type MDSCluster struct {
 	// traffic.
 	reshardHost  *netsim.Host
 	reshardConns []*rpc.Conn
+	// reshardBatch is the migration batch size: reshardBatchGroups, or
+	// the smaller size a test seam sets (export_test.go).
+	reshardBatch int
 	// ctr is the plane's counter block.
 	ctr planeCounters
 	// resharding is Reshard's re-entry latch. The coordinator's ErrBusy
@@ -192,12 +201,13 @@ type MDSCluster struct {
 // for the two-phase protocol traffic.
 func NewMDSCluster(net *netsim.Net, hosts []*netsim.Host, cfg params.Config) *MDSCluster {
 	c := &MDSCluster{
-		Maps:       reshard.NewCoordinator(len(hosts)),
-		cfg:        cfg.COFS,
-		full:       cfg,
-		net:        net,
-		lockShards: len(hosts),
-		hostPrefix: "cofs-mds",
+		Maps:         reshard.NewCoordinator(len(hosts)),
+		cfg:          cfg.COFS,
+		full:         cfg,
+		net:          net,
+		lockShards:   len(hosts),
+		reshardBatch: reshardBatchGroups,
+		hostPrefix:   "cofs-mds",
 	}
 	if c.lockShards < 1 {
 		c.lockShards = 1
@@ -262,9 +272,6 @@ func (c *MDSCluster) dirTarget(parent vfs.Ino, name string) int {
 // shard returns the shard owning ino at the current epoch.
 func (c *MDSCluster) shard(ino vfs.Ino) *Service { return c.shards[c.Of(ino)] }
 
-// ReshardStats returns the plane's resharding counters.
-func (c *MDSCluster) ReshardStats() reshard.Stats { return c.ctr.reshard }
-
 // readStandby returns the standby plane that offloads this primary's
 // reads, nil when none was deployed with COFSParams.StandbyReads. The
 // pointer is returned even while serving is paused (mid-reshard):
@@ -277,12 +284,6 @@ func (c *MDSCluster) readStandby() *Standby {
 		}
 	}
 	return nil
-}
-
-// StandbyReadStats returns the plane's standby-served read and
-// fallback counters.
-func (c *MDSCluster) StandbyReadStats() (reads, fallbacks int64) {
-	return c.ctr.standbyReads, c.ctr.standbyFallbacks
 }
 
 // StoreName reports which store backend the plane's shards deploy
@@ -541,21 +542,6 @@ func (c *MDSCluster) AdoptIDCounter() {
 		s.AdoptIDCounter()
 	}
 }
-
-// Stats returns the plane's service counters, summed over every shard
-// it has run (retired shards included).
-func (c *MDSCluster) Stats() ServiceStats { return c.ctr.svc }
-
-// LockStats returns the plane's row-lock counters: locks taken, grants
-// taken Shared, in-place Shared→Exclusive upgrades, acquisitions that
-// had to wait, and the virtual time spent waiting (all zero on a plane
-// that never ran the row-lock layer).
-func (c *MDSCluster) LockStats() lock.RowLockStats { return c.ctr.locks }
-
-// PeerTransportStats returns the plane's shard-to-shard channel
-// counters of the two-phase protocol, including the migration channels
-// of any reshard.
-func (c *MDSCluster) PeerTransportStats() rpc.ConnStats { return c.ctr.peer }
 
 // WALLen reports the plane's owned log length (cofsctl): each shard's
 // WAL net of migration bookkeeping, so a handed-off record counts

@@ -166,9 +166,8 @@ type opObs struct {
 
 // obsBegin opens the op.<name> span for one client operation on the
 // calling proc's track (grouped under the client host) and feeds the
-// routing shard's request window — the skew signal the auto-reshard
-// controller consumes. ino is the operation's routing key; the shard is
-// resolved only when the plane is enabled.
+// routing shard's request window. ino is the operation's routing key;
+// the shard is resolved only when the plane is enabled.
 func (c *MDSCluster) obsBegin(p *sim.Proc, sess *Session, op string, ino vfs.Ino) opObs {
 	o := c.obs
 	if o == nil {

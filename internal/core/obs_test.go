@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -187,8 +188,8 @@ func TestObsOffCostIdentity(t *testing.T) {
 // TestMetricsSkewDetection injects a hot shard — every rank hammers
 // stats at one file while the rest of the plane idles — and requires
 // Deployment.Metrics() to expose it: the hot shard's sliding-window
-// request rate dominates, Skew names it, and its per-shard latency
-// histogram carries the samples.
+// request rate tops every other shard's by more than 4x, and its
+// per-shard latency histogram carries the samples.
 func TestMetricsSkewDetection(t *testing.T) {
 	cfg := params.Default()
 	cfg.COFS.MetadataShards = 4
@@ -221,14 +222,12 @@ func TestMetricsSkewDetection(t *testing.T) {
 	if m.Shards() < 4 {
 		t.Fatalf("registry grew to %d shards, want 4", m.Shards())
 	}
-	now := tb.Env.Now()
-	rates := m.RequestRates(now)
-	hot, ratio := obs.Skew(rates)
-	if hot < 0 || ratio < 4 {
-		t.Fatalf("injected skew not detected: hot=%d ratio=%v rates=%v", hot, ratio, rates)
-	}
-	if rates[hot] == 0 {
-		t.Fatalf("hot shard %d has no window traffic: %v", hot, rates)
+	rates := m.RequestRates(tb.Env.Now())
+	hot := slices.Index(rates, slices.Max(rates))
+	for i, r := range rates {
+		if i != hot && 4*r >= rates[hot] {
+			t.Fatalf("injected hot shard not on top: shard %d at %v vs shard %d at %v", hot, rates[hot], i, r)
+		}
 	}
 	// The hot shard's getattr histogram carries the storm: count and a
 	// full percentile ladder.
@@ -327,9 +326,9 @@ func TestCountersStableAcrossPromoteAfterShrink(t *testing.T) {
 // after the map settles (when the drained shards' channels are gone).
 func TestCountersMonotonicThroughShrink(t *testing.T) {
 	tb, d := reshardRig(t, 7150, 3, 4, func(cfg *params.Config) {
-		cfg.COFS.ReshardBatchRows = 4
 		cfg.COFS.StandbyReads = true
 	})
+	core.ReshardBatchRowsForTest(d.Service, 4)
 	core.DeployStandby(tb, d, time.Millisecond)
 	tb.Run()
 	paths := buildTree(t, tb, d, 16, 48)

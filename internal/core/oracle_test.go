@@ -52,144 +52,21 @@ func TestCOFSOracleWithLeaseCache(t *testing.T) {
 }
 
 func testOracleDeep(t *testing.T, shards int, tweak func(*params.Config)) {
-	type op struct {
-		Kind byte
-		A, B uint8
-		N    uint16
+	// A small namespace: names may denote files or directories at the
+	// top level, plus entries below the fixed subdir /sub.
+	name := func(x uint8) string {
+		if x%16 < 4 {
+			return fmt.Sprintf("/sub/n%d", x%8)
+		}
+		return fmt.Sprintf("/n%d", x%12)
 	}
-	octx := vfs.Ctx{Node: 0, PID: 1, UID: 1000, GID: 100}
-	f := func(ops []op) bool {
+	f := func(ops []oracleOp) bool {
 		cfg := params.Default()
 		cfg.COFS.MetadataShards = shards
 		if tweak != nil {
 			tweak(&cfg)
 		}
-		tb := cluster.New(1, 1, cfg)
-		d := core.Deploy(tb, nil)
-		m := d.Mounts[0]
-		om := vfs.NewMount(vfs.NewMemFS(), params.FUSEParams{})
-		ok := true
-		// A small namespace: names may denote files or directories at
-		// the top level, plus entries below the fixed subdir /sub.
-		name := func(x uint8) string {
-			if x%16 < 4 {
-				return fmt.Sprintf("/sub/n%d", x%8)
-			}
-			return fmt.Sprintf("/n%d", x%12)
-		}
-		tb.Env.Spawn("prep", func(p *sim.Proc) {
-			if err := m.Mkdir(p, octx, "/sub", 0755); err != nil {
-				panic(err)
-			}
-			if err := om.Mkdir(p, octx, "/sub", 0755); err != nil {
-				panic(err)
-			}
-		})
-		tb.Env.MustRun()
-		tb.Env.Spawn("prop", func(p *sim.Proc) {
-			for _, o := range ops {
-				var e1, e2 error
-				switch o.Kind % 10 {
-				case 0: // create + write + close
-					n := int64(o.N)
-					f1, err := m.Create(p, octx, name(o.A), 0644)
-					e1 = err
-					if err == nil {
-						f1.WriteAt(p, 0, n)
-						f1.Close(p)
-					}
-					f2, err := om.Create(p, octx, name(o.A), 0644)
-					e2 = err
-					if err == nil {
-						f2.WriteAt(p, 0, n)
-						f2.Close(p)
-					}
-				case 1:
-					e1 = m.Unlink(p, octx, name(o.A))
-					e2 = om.Unlink(p, octx, name(o.A))
-				case 2:
-					e1 = m.Mkdir(p, octx, name(o.A), 0755)
-					e2 = om.Mkdir(p, octx, name(o.A), 0755)
-				case 3:
-					e1 = m.Rename(p, octx, name(o.A), name(o.B))
-					e2 = om.Rename(p, octx, name(o.A), name(o.B))
-				case 4:
-					e1 = m.Rmdir(p, octx, name(o.A))
-					e2 = om.Rmdir(p, octx, name(o.A))
-				case 5:
-					var a1, a2 vfs.Attr
-					a1, e1 = m.Stat(p, octx, name(o.A))
-					a2, e2 = om.Stat(p, octx, name(o.A))
-					if e1 == nil && e2 == nil {
-						if a1.Size != a2.Size || a1.Type != a2.Type || a1.Nlink != a2.Nlink {
-							t.Logf("attr divergence at %s: cofs=%+v memfs=%+v", name(o.A), a1, a2)
-							ok = false
-							return
-						}
-					}
-				case 6:
-					e1 = m.Link(p, octx, name(o.A), name(o.B))
-					e2 = om.Link(p, octx, name(o.A), name(o.B))
-				case 7:
-					e1 = m.Truncate(p, octx, name(o.A), int64(o.N))
-					e2 = om.Truncate(p, octx, name(o.A), int64(o.N))
-				case 8:
-					e1 = m.Symlink(p, octx, "/target", name(o.A))
-					e2 = om.Symlink(p, octx, "/target", name(o.A))
-				case 9: // open for read + read + close
-					n := int64(o.N)
-					var n1, n2 int64 = -1, -1
-					f1, err := m.Open(p, octx, name(o.A), vfs.OpenRead)
-					e1 = err
-					if err == nil {
-						n1, _ = f1.ReadAt(p, 0, n)
-						f1.Close(p)
-					}
-					f2, err := om.Open(p, octx, name(o.A), vfs.OpenRead)
-					e2 = err
-					if err == nil {
-						n2, _ = f2.ReadAt(p, 0, n)
-						f2.Close(p)
-					}
-					if n1 != n2 {
-						t.Logf("read divergence at %s: cofs=%d memfs=%d", name(o.A), n1, n2)
-						ok = false
-						return
-					}
-				}
-				if e1 != e2 {
-					t.Logf("error divergence on %+v (%s): cofs=%v memfs=%v", o, name(o.A), e1, e2)
-					ok = false
-					return
-				}
-			}
-			// Compare final listings of both directories.
-			for _, dir := range []string{"/", "/sub"} {
-				l1, err1 := m.Readdir(p, octx, dir)
-				l2, err2 := om.Readdir(p, octx, dir)
-				if (err1 == nil) != (err2 == nil) || len(l1) != len(l2) {
-					t.Logf("listing divergence in %s: cofs=%v (%v) memfs=%v (%v)", dir, l1, err1, l2, err2)
-					ok = false
-					return
-				}
-				for i := range l1 {
-					if l1[i].Name != l2[i].Name || l1[i].Type != l2[i].Type {
-						t.Logf("entry divergence in %s: cofs=%+v memfs=%+v", dir, l1[i], l2[i])
-						ok = false
-						return
-					}
-				}
-			}
-		})
-		if err := tb.Env.Run(); err != nil {
-			t.Log(err)
-			return false
-		}
-		if err := d.Service.CheckInvariants(); err != nil {
-			t.Log(err)
-			return false
-		}
-		return ok
+		return checkOracle(t, 1, cfg, ops, name, "/sub")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -200,72 +77,165 @@ func testOracleDeep(t *testing.T, shards int, tweak func(*params.Config)) {
 // client attribute cache enabled: caching must never change what a
 // single client observes of its own operations.
 func TestCOFSOracleWithAttrCache(t *testing.T) {
-	octx := vfs.Ctx{Node: 0, PID: 1, UID: 1000, GID: 100}
 	type op struct {
 		Kind byte
 		A    uint8
 		N    uint16
 	}
+	// The cache-relevant subset: create, unlink, stat, truncate, and a
+	// link to the name at half the operand.
+	kinds := []byte{0, 1, 5, 7, 6}
+	name := func(x uint8) string { return fmt.Sprintf("/n%d", x%8) }
 	f := func(ops []op) bool {
 		cfg := params.Default()
 		cfg.COFS.AttrCacheTimeout = cfg.FUSE.EntryTimeout
-		tb := cluster.New(2, 1, cfg)
-		d := core.Deploy(tb, nil)
-		m := d.Mounts[0]
-		om := vfs.NewMount(vfs.NewMemFS(), params.FUSEParams{})
-		name := func(x uint8) string { return fmt.Sprintf("/n%d", x%8) }
-		ok := true
-		tb.Env.Spawn("prop", func(p *sim.Proc) {
-			for _, o := range ops {
-				var e1, e2 error
-				switch o.Kind % 5 {
-				case 0:
-					n := int64(o.N)
-					f1, err := m.Create(p, octx, name(o.A), 0644)
-					e1 = err
-					if err == nil {
-						f1.WriteAt(p, 0, n)
-						f1.Close(p)
-					}
-					f2, err := om.Create(p, octx, name(o.A), 0644)
-					e2 = err
-					if err == nil {
-						f2.WriteAt(p, 0, n)
-						f2.Close(p)
-					}
-				case 1:
-					e1 = m.Unlink(p, octx, name(o.A))
-					e2 = om.Unlink(p, octx, name(o.A))
-				case 2:
-					var a1, a2 vfs.Attr
-					a1, e1 = m.Stat(p, octx, name(o.A))
-					a2, e2 = om.Stat(p, octx, name(o.A))
-					if e1 == nil && e2 == nil && (a1.Size != a2.Size || a1.Nlink != a2.Nlink) {
-						t.Logf("attr divergence at %s: cofs=%+v memfs=%+v", name(o.A), a1, a2)
-						ok = false
-						return
-					}
-				case 3:
-					e1 = m.Truncate(p, octx, name(o.A), int64(o.N))
-					e2 = om.Truncate(p, octx, name(o.A), int64(o.N))
-				case 4:
-					e1 = m.Link(p, octx, name(o.A), name(o.A/2))
-					e2 = om.Link(p, octx, name(o.A), name(o.A/2))
-				}
-				if e1 != e2 {
-					t.Logf("error divergence on %+v: cofs=%v memfs=%v", o, e1, e2)
-					ok = false
-					return
-				}
-			}
-		})
-		if err := tb.Env.Run(); err != nil {
-			t.Log(err)
-			return false
+		mapped := make([]oracleOp, len(ops))
+		for i, o := range ops {
+			mapped[i] = oracleOp{Kind: kinds[o.Kind%5], A: o.A, B: o.A / 2, N: o.N}
 		}
-		return ok && d.Service.CheckInvariants() == nil
+		return checkOracle(t, 2, cfg, mapped, name, "")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// oracleOp is one step of an oracle property: Kind (mod 10) picks the
+// operation, A and B its operand names, N its I/O or truncate size.
+type oracleOp struct {
+	Kind byte
+	A, B uint8
+	N    uint16
+}
+
+// checkOracle runs ops on a one-node COFS deployment of cfg and on the
+// MemFS reference side by side and reports whether every error, stat
+// attribute and read length agreed, and — when sub names a directory
+// both sides create first — whether the final listings of / and sub
+// agree too. The plane's invariants must hold at the end.
+func checkOracle(t *testing.T, seed int64, cfg params.Config, ops []oracleOp, name func(uint8) string, sub string) bool {
+	octx := vfs.Ctx{Node: 0, PID: 1, UID: 1000, GID: 100}
+	tb := cluster.New(seed, 1, cfg)
+	d := core.Deploy(tb, nil)
+	m := d.Mounts[0]
+	om := vfs.NewMount(vfs.NewMemFS(), params.FUSEParams{})
+	ok := true
+	if sub != "" {
+		tb.Env.Spawn("prep", func(p *sim.Proc) {
+			if err := m.Mkdir(p, octx, sub, 0755); err != nil {
+				panic(err)
+			}
+			if err := om.Mkdir(p, octx, sub, 0755); err != nil {
+				panic(err)
+			}
+		})
+		tb.Env.MustRun()
+	}
+	tb.Env.Spawn("prop", func(p *sim.Proc) {
+		for _, o := range ops {
+			var e1, e2 error
+			switch o.Kind % 10 {
+			case 0: // create + write + close
+				n := int64(o.N)
+				f1, err := m.Create(p, octx, name(o.A), 0644)
+				e1 = err
+				if err == nil {
+					f1.WriteAt(p, 0, n)
+					f1.Close(p)
+				}
+				f2, err := om.Create(p, octx, name(o.A), 0644)
+				e2 = err
+				if err == nil {
+					f2.WriteAt(p, 0, n)
+					f2.Close(p)
+				}
+			case 1:
+				e1 = m.Unlink(p, octx, name(o.A))
+				e2 = om.Unlink(p, octx, name(o.A))
+			case 2:
+				e1 = m.Mkdir(p, octx, name(o.A), 0755)
+				e2 = om.Mkdir(p, octx, name(o.A), 0755)
+			case 3:
+				e1 = m.Rename(p, octx, name(o.A), name(o.B))
+				e2 = om.Rename(p, octx, name(o.A), name(o.B))
+			case 4:
+				e1 = m.Rmdir(p, octx, name(o.A))
+				e2 = om.Rmdir(p, octx, name(o.A))
+			case 5:
+				var a1, a2 vfs.Attr
+				a1, e1 = m.Stat(p, octx, name(o.A))
+				a2, e2 = om.Stat(p, octx, name(o.A))
+				if e1 == nil && e2 == nil {
+					if a1.Size != a2.Size || a1.Type != a2.Type || a1.Nlink != a2.Nlink {
+						t.Logf("attr divergence at %s: cofs=%+v memfs=%+v", name(o.A), a1, a2)
+						ok = false
+						return
+					}
+				}
+			case 6:
+				e1 = m.Link(p, octx, name(o.A), name(o.B))
+				e2 = om.Link(p, octx, name(o.A), name(o.B))
+			case 7:
+				e1 = m.Truncate(p, octx, name(o.A), int64(o.N))
+				e2 = om.Truncate(p, octx, name(o.A), int64(o.N))
+			case 8:
+				e1 = m.Symlink(p, octx, "/target", name(o.A))
+				e2 = om.Symlink(p, octx, "/target", name(o.A))
+			case 9: // open for read + read + close
+				n := int64(o.N)
+				var n1, n2 int64 = -1, -1
+				f1, err := m.Open(p, octx, name(o.A), vfs.OpenRead)
+				e1 = err
+				if err == nil {
+					n1, _ = f1.ReadAt(p, 0, n)
+					f1.Close(p)
+				}
+				f2, err := om.Open(p, octx, name(o.A), vfs.OpenRead)
+				e2 = err
+				if err == nil {
+					n2, _ = f2.ReadAt(p, 0, n)
+					f2.Close(p)
+				}
+				if n1 != n2 {
+					t.Logf("read divergence at %s: cofs=%d memfs=%d", name(o.A), n1, n2)
+					ok = false
+					return
+				}
+			}
+			if e1 != e2 {
+				t.Logf("error divergence on %+v (%s): cofs=%v memfs=%v", o, name(o.A), e1, e2)
+				ok = false
+				return
+			}
+		}
+		if sub == "" {
+			return
+		}
+		// Compare final listings of both directories.
+		for _, dir := range []string{"/", sub} {
+			l1, err1 := m.Readdir(p, octx, dir)
+			l2, err2 := om.Readdir(p, octx, dir)
+			if (err1 == nil) != (err2 == nil) || len(l1) != len(l2) {
+				t.Logf("listing divergence in %s: cofs=%v (%v) memfs=%v (%v)", dir, l1, err1, l2, err2)
+				ok = false
+				return
+			}
+			for i := range l1 {
+				if l1[i].Name != l2[i].Name || l1[i].Type != l2[i].Type {
+					t.Logf("entry divergence in %s: cofs=%+v memfs=%+v", dir, l1[i], l2[i])
+					ok = false
+					return
+				}
+			}
+		}
+	})
+	if err := tb.Env.Run(); err != nil {
+		t.Log(err)
+		return false
+	}
+	if err := d.Service.CheckInvariants(); err != nil {
+		t.Log(err)
+		return false
+	}
+	return ok
 }

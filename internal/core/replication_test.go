@@ -229,13 +229,15 @@ func TestDeployStandbyMidMigrationRefused(t *testing.T) {
 	}
 }
 
-// standbyCrashRig is crashRig plus an attached standby plane. The
-// probe and the sweep below must deploy identically — the standby's
+// standbyCrashRig is crashRig plus an attached standby plane, which
+// finishes a migration after Promote in the primary's small batches.
+// The probe and the sweep below must deploy identically — the standby's
 // shipping traffic is part of the schedule the probe measures.
 func standbyCrashRig(t *testing.T, seed int64, shards int, delay time.Duration) (*cluster.Testbed, *core.Deployment, *core.Standby) {
 	t.Helper()
 	tb, d := crashRig(t, seed, shards)
 	sb := core.DeployStandby(tb, d, delay)
+	core.ReshardBatchRowsForTest(sb.Cluster, 4)
 	tb.Run()
 	return tb, d, sb
 }

@@ -193,14 +193,16 @@ func (c *MDSCluster) liveGroups() []uint64 {
 	return groups
 }
 
+// reshardBatchGroups bounds how many groups (inode ids, with their
+// dentries and mappings) one migration batch moves while holding their
+// row locks: the unit of the dip a live reshard inflicts on concurrent
+// traffic (see internal/reshard and docs/resharding.md).
+const reshardBatchGroups = 64
+
 // runMigration executes a batched plan. Shared by Reshard and
 // mid-reshard recovery; only a step-hook abort can make it fail.
 func (c *MDSCluster) runMigration(p *sim.Proc, moves []reshard.Move) error {
-	batch := c.cfg.ReshardBatchRows
-	if batch <= 0 {
-		batch = 64
-	}
-	for _, b := range reshard.Batches(moves, batch) {
+	for _, b := range reshard.Batches(moves, c.reshardBatch) {
 		if c.stepAbort(ReshardBatchStart) {
 			return ErrReshardInterrupted
 		}
@@ -493,8 +495,8 @@ func (c *MDSCluster) movePair(p *sim.Proc, src, dst int, ids []vfs.Ino) error {
 			c.ctr.reshard.RowsMoved += rows
 			c.ctr.reshard.BytesMoved += freight.bytes
 			if c.obs != nil && c.obs.m != nil {
-				// Feed the destination's row-move window: arriving rows
-				// are the rebalance cost the skew controller weighs.
+				// Feed the destination's row-move window with the
+				// arriving rows: the rebalance cost.
 				c.obs.m.AddRowMoves(dst, rows, p.Now())
 			}
 			if interrupted = c.stepAbort(ReshardInstalled); interrupted {

@@ -8,7 +8,6 @@ import (
 
 	"cofs/internal/cluster"
 	"cofs/internal/core"
-	"cofs/internal/params"
 	"cofs/internal/sim"
 	"cofs/internal/vfs"
 )
@@ -29,9 +28,9 @@ import (
 // crosses several batch boundaries, everything else the reshard rig.
 func crashRig(t *testing.T, seed int64, shards int) (*cluster.Testbed, *core.Deployment) {
 	t.Helper()
-	return reshardRig(t, seed, 2, shards, func(cfg *params.Config) {
-		cfg.COFS.ReshardBatchRows = 4
-	})
+	tb, d := reshardRig(t, seed, 2, shards, nil)
+	core.ReshardBatchRowsForTest(d.Service, 4)
+	return tb, d
 }
 
 // countReshardSteps probes one migration with a counting hook: the
@@ -164,7 +163,7 @@ func TestReshardCrashReplay(t *testing.T) {
 								t.Errorf("retired shard host cofs-mds%d still on the testbed", i)
 							}
 						}
-						if got := d.Service.ReshardStats().Retired; got != int64(tc.from-tc.to) {
+						if got := d.Counters().Get("mds.reshard-retired"); got != int64(tc.from-tc.to) {
 							t.Errorf("Retired = %d, want %d", got, tc.from-tc.to)
 						}
 					}
@@ -206,21 +205,22 @@ func TestReshardWALHandoffAccounting(t *testing.T) {
 			t.Errorf("reshard: %v", err)
 		}
 	})
-	rs := d.Service.ReshardStats()
-	if rs.HandoffRecords == 0 {
+	c := d.Counters()
+	handoff := c.Get("mds.reshard-wal-handoff")
+	if handoff == 0 {
 		t.Fatal("migration shipped no handoff records")
 	}
-	if rs.HandoffRecords != rs.RowsMoved {
-		t.Errorf("HandoffRecords = %d, RowsMoved = %d; the cursor must cover every moved row exactly once", rs.HandoffRecords, rs.RowsMoved)
+	if moved := c.Get("mds.reshard-rows-moved"); handoff != moved {
+		t.Errorf("wal-handoff = %d, rows-moved = %d; the cursor must cover every moved row exactly once", handoff, moved)
 	}
-	if got, want := d.Service.WALLen(), w0+int(rs.HandoffRecords); got != want {
+	if got, want := d.Service.WALLen(), w0+int(handoff); got != want {
 		t.Errorf("owned WALLen after settle = %d, want %d (w0=%d + one delete per handed-off record)", got, want, w0)
 	}
 	var raw int
 	for _, s := range d.Service.Shards() {
 		raw += s.DB.WALLen()
 	}
-	if want := w0 + 2*int(rs.HandoffRecords); raw != want {
+	if want := w0 + 2*int(handoff); raw != want {
 		t.Errorf("raw WAL sum after settle = %d, want %d (imports + deletes on top of w0=%d)", raw, want, w0)
 	}
 	// Checkpoint compacts the logs and re-zeroes the bookkeeping: the

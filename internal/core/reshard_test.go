@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -106,11 +107,28 @@ func TestReshardGrow(t *testing.T) {
 		t.Run(fmt.Sprintf("%dto%d", tc.from, tc.to), func(t *testing.T) {
 			tb, d := reshardRig(t, 500+int64(tc.from*10+tc.to), 2, tc.from, nil)
 			paths := buildTree(t, tb, d, 16, 128)
+			// A default plane migrates in 64-group batches: batch i
+			// starts after exactly 64*i groups moved.
+			var starts []int64
+			d.Service.OnReshardStep(func(seq int, at core.ReshardPoint) bool {
+				if at == core.ReshardBatchStart {
+					starts = append(starts, d.Counters().Get("mds.reshard-groups-moved"))
+				}
+				return false
+			})
 			step(tb, "reshard", func(p *sim.Proc) {
 				if err := d.Service.Reshard(p, tc.to); err != nil {
 					t.Errorf("reshard: %v", err)
 				}
 			})
+			moved := d.Counters().Get("mds.reshard-groups-moved")
+			var want []int64
+			for g := int64(0); g < moved; g += 64 {
+				want = append(want, g)
+			}
+			if len(want) < 2 || !slices.Equal(starts, want) {
+				t.Fatalf("%d groups moved in batches starting at %v, want %v", moved, starts, want)
+			}
 			if err := d.Service.CheckInvariants(); err != nil {
 				t.Fatalf("invariants after grow: %v", err)
 			}
@@ -126,9 +144,8 @@ func TestReshardGrow(t *testing.T) {
 					t.Fatalf("shard %d empty after grow: %v", i, counts)
 				}
 			}
-			rs := d.Service.ReshardStats()
-			if rs.GroupsMoved == 0 || rs.Epochs < 3 {
-				t.Fatalf("no migration happened: %+v", rs)
+			if c := d.Counters(); c.Get("mds.reshard-groups-moved") == 0 || c.Get("mds.reshard-epochs") < 3 {
+				t.Fatalf("no migration happened:\n%s", c)
 			}
 			verifyAll(t, tb, d, paths)
 			// The plane keeps absorbing new work with fresh ids on every
@@ -286,8 +303,7 @@ func TestReshardUnderStorm(t *testing.T) {
 			if err := d.CheckCacheCoherence(tb.Env.Now()); err != nil {
 				t.Fatalf("cache coherence after storm+reshard: %v", err)
 			}
-			rs := d.Service.ReshardStats()
-			if rs.GroupsMoved == 0 {
+			if d.Counters().Get("mds.reshard-groups-moved") == 0 {
 				t.Fatal("storm reshard moved nothing: trigger fired after the storm?")
 			}
 			// Every file the storm left behind must resolve from every
@@ -568,8 +584,8 @@ func TestReshardRefusals(t *testing.T) {
 			t.Errorf("reshard to current count: %v", err)
 		}
 	})
-	if rs := d3.Service.ReshardStats(); rs.Epochs != 0 {
-		t.Errorf("no-op reshard installed epochs: %+v", rs)
+	if got := d3.Counters().Get("mds.reshard-epochs"); got != 0 {
+		t.Errorf("no-op reshard installed %d epochs", got)
 	}
 
 	// Two concurrent Reshards: exactly one runs, the loser is refused

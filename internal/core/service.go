@@ -79,18 +79,18 @@ func parentIndexKey(dir vfs.Ino) string { return strconv.FormatUint(uint64(dir),
 // ServiceStats aggregates service-side counters over a plane's shards
 // (kept in the plane's counter block, planeCounters).
 type ServiceStats struct {
-	Requests int64
-	Creates  int64
-	Lookups  int64
-	Getattrs int64
-	Updates  int64
-	Removes  int64
+	Requests int64 `counter:"requests"`
+	Creates  int64 `counter:"creates"`
+	Lookups  int64 `counter:"lookups"`
+	Getattrs int64 `counter:"getattrs"`
+	Updates  int64 `counter:"updates"`
+	Removes  int64 `counter:"removes"`
 	// PeerCalls counts shard-to-shard RPCs the shards coordinated
 	// (always 0 on a single-shard deployment).
-	PeerCalls int64
+	PeerCalls int64 `counter:"peer-calls"`
 	// Revocations counts client lease recalls the shards issued
 	// (always 0 unless COFSParams.AttrLease is set).
-	Revocations int64
+	Revocations int64 `counter:"lease-revocations"`
 }
 
 // Service is one COFS metadata shard: it owns the slice of the virtual

@@ -76,8 +76,3 @@ func (sess *Session) refetchMap(p *sim.Proc, c *MDSCluster) {
 		},
 	})
 }
-
-// TransportStats returns the client's transport counters: every
-// channel this session, and any session it replaced at failover, has
-// dialed counts into the same block.
-func (sess *Session) TransportStats() rpc.ConnStats { return *sess.stats }

@@ -189,10 +189,10 @@ func (sb *Standby) lookup(p *sim.Proc, sess *Session, parent vfs.Ino, name strin
 	})
 	sb.obsEnd(p, ob, r.served)
 	if !r.served {
-		sb.primary.ctr.standbyFallbacks++
+		sb.primary.ctr.standby.Fallbacks++
 		return vfs.Attr{}, nil, false
 	}
-	sb.primary.ctr.standbyReads++
+	sb.primary.ctr.standby.Reads++
 	return r.attr, r.err, true
 }
 
@@ -225,10 +225,10 @@ func (sb *Standby) getattr(p *sim.Proc, sess *Session, id vfs.Ino) (vfs.Attr, er
 	})
 	sb.obsEnd(p, ob, r.served)
 	if !r.served {
-		sb.primary.ctr.standbyFallbacks++
+		sb.primary.ctr.standby.Fallbacks++
 		return vfs.Attr{}, nil, false
 	}
-	sb.primary.ctr.standbyReads++
+	sb.primary.ctr.standby.Reads++
 	return r.attr, r.err, true
 }
 
@@ -301,9 +301,9 @@ func (sb *Standby) readdirPlus(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.
 	}, func(r sbReaddirReply) int64 { return 96 + int64(len(r.entries))*160 })
 	sb.obsEnd(p, ob, r.served)
 	if !r.served {
-		sb.primary.ctr.standbyFallbacks++
+		sb.primary.ctr.standby.Fallbacks++
 		return nil, nil, nil, false
 	}
-	sb.primary.ctr.standbyReads++
+	sb.primary.ctr.standby.Reads++
 	return r.entries, r.attrs, r.err, true
 }

@@ -40,17 +40,11 @@ func standbyReadsRig(t *testing.T, seed int64, shards int, delay time.Duration) 
 	return tb, d, sb
 }
 
-// standbyReads and standbyFallbacks read the serving plane's standby
-// read counters.
-func standbyReads(d *core.Deployment) int64 {
-	r, _ := d.Service.StandbyReadStats()
-	return r
-}
+// standbyReads and standbyFallbacks read the deployment's standby read
+// counters.
+func standbyReads(d *core.Deployment) int64 { return d.Counters().Get("mds.standby-reads") }
 
-func standbyFallbacks(d *core.Deployment) int64 {
-	_, f := d.Service.StandbyReadStats()
-	return f
-}
+func standbyFallbacks(d *core.Deployment) int64 { return d.Counters().Get("mds.standby-fallbacks") }
 
 // TestStandbyReadsCoherence runs cross-node mutation scenarios at every
 // shipping delay: node B mutates, node A must observe the mutation

@@ -103,11 +103,11 @@ func (t *token) remove(c Client) {
 
 // Stats aggregates manager-side counters.
 type Stats struct {
-	Acquires    int64
-	LocalGrants int64 // grants that required no revocation
-	Revocations int64
-	Transfers   int64 // acquisitions that moved the token between nodes
-	WaitTotal   time.Duration
+	Acquires    int64         `counter:"acquires"`
+	LocalGrants int64         `counter:"local-grants"` // grants that required no revocation
+	Revocations int64         `counter:"revocations"`
+	Transfers   int64         `counter:"transfers"` // acquisitions that moved the token between nodes
+	WaitTotal   time.Duration `counter:"wait-us"`
 }
 
 // Manager is the centralized token server.

@@ -115,17 +115,17 @@ func SortReqs(reqs []Req) []Req {
 // RowLockStats aggregates the table's counters.
 type RowLockStats struct {
 	// Acquires is the number of row locks taken (any mode).
-	Acquires int64
+	Acquires int64 `counter:"acquires"`
 	// SharedGrants is the number of acquisitions granted in Shared
 	// mode (0 when the table runs ExclusiveOnly).
-	SharedGrants int64
+	SharedGrants int64 `counter:"shared"`
 	// Upgrades is the number of in-place Shared→Exclusive conversions.
-	Upgrades int64
+	Upgrades int64 `counter:"upgrades"`
 	// Conflicts is the number of acquisitions that found the row
 	// incompatibly held (or queued) and had to wait.
-	Conflicts int64
+	Conflicts int64 `counter:"conflicts"`
 	// WaitTotal is the virtual time spent parked on held rows.
-	WaitTotal time.Duration
+	WaitTotal time.Duration `counter:"wait-us"`
 }
 
 // waiter is one parked acquisition. The releaser installs the waiter as

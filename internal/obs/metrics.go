@@ -115,8 +115,7 @@ func (g *Gauge) High() int64 { return g.high }
 // Window is a sliding-window event counter over virtual time: a ring of
 // fixed-width slots stamped with their epoch, so expiry is lazy and
 // recording is O(1) with no allocation. Rate reports events per virtual
-// second over the covered window — the per-shard skew signal the
-// auto-reshard controller consumes.
+// second over the covered window: a shard's load signal.
 type Window struct {
 	slots  []int64
 	epochs []int64
@@ -192,7 +191,7 @@ type Metrics struct {
 	queues []*Gauge
 	lock   Gauge
 	// req[i] / moves[i] are shard i's sliding-window request and
-	// row-move counts — the reshard controller's skew feed.
+	// row-move counts.
 	req      []*Window
 	moves    []*Window
 	winSlots int
@@ -306,34 +305,6 @@ func (m *Metrics) RowMoveRates(now time.Duration) []float64 {
 	return out
 }
 
-// Skew condenses a per-shard rate vector into the controller's trigger
-// signal: the hottest shard and its load as a multiple of the median
-// shard. A one-shard or idle plane reports ratio 1.
-func Skew(rates []float64) (hot int, ratio float64) {
-	if len(rates) == 0 {
-		return -1, 1
-	}
-	sorted := append([]float64(nil), rates...)
-	sort.Float64s(sorted)
-	// Lower median on even counts: with two shards the upper median IS
-	// the max, which would pin the ratio at 1 and blind the controller
-	// exactly at the plane size reshards start from.
-	median := sorted[(len(sorted)-1)/2]
-	max, hot := rates[0], 0
-	for i, r := range rates {
-		if r > max {
-			max, hot = r, i
-		}
-	}
-	if max == 0 {
-		return hot, 1
-	}
-	if median == 0 {
-		return hot, math.Inf(1)
-	}
-	return hot, max / median
-}
-
 // Fprint writes the registry as a deterministic human-readable report:
 // per-(op,shard) count/mean/p50/p95/p99/max, the gauges, and the
 // per-shard window rates.
@@ -355,15 +326,12 @@ func (m *Metrics) Fprint(w io.Writer, indent string) {
 	fmt.Fprintf(w, "%slock-occupancy         cur %d high %d\n", indent, m.lock.Cur(), m.lock.High())
 }
 
-// FprintRates writes the per-shard sliding-window rates and the skew
-// verdict at virtual time now.
+// FprintRates writes the per-shard sliding-window rates at virtual
+// time now.
 func (m *Metrics) FprintRates(w io.Writer, indent string, now time.Duration) {
 	req := m.RequestRates(now)
 	moves := m.RowMoveRates(now)
 	for i := range req {
 		fmt.Fprintf(w, "%sshard[%d] req/s %.0f row-moves/s %.0f\n", indent, i, req[i], moves[i])
-	}
-	if hot, ratio := Skew(req); hot >= 0 {
-		fmt.Fprintf(w, "%sskew: hot shard %d at %.2fx median (window %v)\n", indent, hot, ratio, time.Duration(m.winSlots)*m.winWidth)
 	}
 }

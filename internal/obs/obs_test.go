@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -102,24 +101,6 @@ func TestWindowSlidesAndExpires(t *testing.T) {
 	}
 }
 
-// ---- Skew ----
-
-func TestSkew(t *testing.T) {
-	if hot, ratio := Skew(nil); hot != -1 || ratio != 1 {
-		t.Fatalf("empty skew = (%d, %v)", hot, ratio)
-	}
-	if _, ratio := Skew([]float64{0, 0, 0}); ratio != 1 {
-		t.Fatalf("idle plane ratio=%v, want 1", ratio)
-	}
-	hot, ratio := Skew([]float64{100, 100, 400, 100})
-	if hot != 2 || ratio != 4 {
-		t.Fatalf("skew = (%d, %v), want (2, 4)", hot, ratio)
-	}
-	if _, ratio := Skew([]float64{0, 0, 50}); !math.IsInf(ratio, 1) {
-		t.Fatalf("zero-median ratio=%v, want +Inf", ratio)
-	}
-}
-
 // ---- Metrics registry ----
 
 func TestMetricsRegistry(t *testing.T) {
@@ -145,7 +126,7 @@ func TestMetricsRegistry(t *testing.T) {
 	if len(keys) != 2 || keys[0].Op != "op.create" || keys[1].Op != "op.stat" {
 		t.Fatalf("keys=%v", keys)
 	}
-	// The skew feed: shard 1 hot at 3x the median.
+	// The request windows: shard 1 at 3x shard 0's rate.
 	now := 100 * time.Millisecond
 	for i := 0; i < 30; i++ {
 		m.AddRequest(1, now)
@@ -153,9 +134,8 @@ func TestMetricsRegistry(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m.AddRequest(0, now)
 	}
-	hot, ratio := Skew(m.RequestRates(now))
-	if hot != 1 || ratio != 3 {
-		t.Fatalf("skew feed = (%d, %v), want (1, 3)", hot, ratio)
+	if rates := m.RequestRates(now); rates[1] != 3*rates[0] || rates[0] == 0 {
+		t.Fatalf("request rates=%v, want shard 1 at 3x shard 0", rates)
 	}
 	m.AddRowMoves(0, 7, now)
 	if rates := m.RowMoveRates(now); rates[0] == 0 || rates[1] != 0 {
@@ -166,7 +146,7 @@ func TestMetricsRegistry(t *testing.T) {
 	m.Fprint(&b, "")
 	m.FprintRates(&b, "", now)
 	out := b.String()
-	for _, want := range []string{"op.create[1]", "op.stat[0]", "queue-depth[0]", "lock-occupancy", "skew: hot shard 1"} {
+	for _, want := range []string{"op.create[1]", "op.stat[0]", "queue-depth[0]", "lock-occupancy", "shard[1] req/s"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}

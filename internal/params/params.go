@@ -183,12 +183,6 @@ type COFSParams struct {
 	// measured prototype); when both AttrLease and AttrCacheTimeout are
 	// set, leases win.
 	AttrLease time.Duration
-	// ReshardBatchRows bounds how many groups (inode ids, with their
-	// dentries and mappings) one resharding batch migrates while
-	// holding their row locks: the unit of the dip a live reshard
-	// inflicts on concurrent traffic (see internal/reshard and
-	// docs/resharding.md). 0 selects the default (64).
-	ReshardBatchRows int
 	// MetadataStore names the per-shard store backend deployed behind
 	// the metadata plane, resolved through the provider registry
 	// (internal/store; docs/backends.md). "" and "mdb" select the
@@ -228,8 +222,7 @@ type COFSParams struct {
 	// Metrics enables the histogram/gauge/rate metrics registry
 	// (internal/obs): per-(op,shard) log-bucketed latency histograms
 	// (p50/p95/p99), queue-depth and lock-occupancy gauges, and
-	// per-shard sliding-window request/row-move rates — the skew feed
-	// the auto-reshard controller consumes — exposed as
+	// per-shard sliding-window request/row-move rates, exposed as
 	// Deployment.Metrics(). Off by default with the same zero-cost
 	// contract as Trace.
 	Metrics bool
@@ -287,8 +280,7 @@ func Default() Config {
 			MaxEntriesPerDir: 512,
 			AttrCacheTimeout: 0, // disabled, as in the paper's prototype
 			AttrCacheEntries: 4096,
-			AttrLease:        0, // coherent lease cache off (paper prototype)
-			ReshardBatchRows: 64,
+			AttrLease:        0,     // coherent lease cache off (paper prototype)
 			RPCBatch:         false, // one RPC per op (paper prototype)
 		},
 	}

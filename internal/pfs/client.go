@@ -20,14 +20,14 @@ const (
 
 // ClientStats aggregates node-side counters.
 type ClientStats struct {
-	LocalCreates  int64
-	RemoteCreates int64
-	TokenAcquires int64
-	InodeFetches  int64
-	DirFetches    int64
-	Revocations   int64
-	MetaFlushes   int64
-	DataFlushes   int64
+	LocalCreates  int64 `counter:"local-creates"`
+	RemoteCreates int64 `counter:"remote-creates"`
+	TokenAcquires int64 `counter:"token-acquires"`
+	InodeFetches  int64 `counter:"inode-fetches"`
+	DirFetches    int64 `counter:"dir-fetches"`
+	Revocations   int64 `counter:"revocations"`
+	MetaFlushes   int64 `counter:"meta-flushes"`
+	DataFlushes   int64 `counter:"data-flushes"`
 }
 
 type handleState struct {

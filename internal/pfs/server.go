@@ -60,10 +60,10 @@ type dirBlockKey struct {
 
 // ServerStats aggregates server-side counters.
 type ServerStats struct {
-	MetaRPCs      int64
-	DiskReads     int64
-	RemoteCreates int64
-	Commits       int64
+	MetaRPCs      int64 `counter:"meta-rpcs"`
+	DiskReads     int64 `counter:"disk-reads"`
+	RemoteCreates int64 `counter:"remote-creates"`
+	Commits       int64 `counter:"commits"`
 }
 
 // Server is the shared state of the file system: the file servers, their

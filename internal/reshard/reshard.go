@@ -249,31 +249,31 @@ func Batches(moves []Move, size int) [][]Move {
 // mds.reshard-* counters.
 type Stats struct {
 	// Reshards is the number of completed Reshard calls.
-	Reshards int64
+	Reshards int64 `counter:"runs"`
 	// Epochs is the number of map versions installed (Begin, one per
 	// batch Commit, Finish).
-	Epochs int64
+	Epochs int64 `counter:"epochs"`
 	// GroupsMoved counts migrated groups (inode ids).
-	GroupsMoved int64
+	GroupsMoved int64 `counter:"groups-moved"`
 	// RowsMoved counts migrated table rows (inode and dentry rows
 	// together).
-	RowsMoved int64
+	RowsMoved int64 `counter:"rows-moved"`
 	// BytesMoved is the migration traffic carried shard-to-shard.
-	BytesMoved int64
+	BytesMoved int64 `counter:"bytes-moved"`
 	// Redirects counts requests a shard bounced with ErrWrongEpoch
 	// because the client's map version raced a move.
-	Redirects int64
+	Redirects int64 `counter:"redirects"`
 	// Refetches counts client shard-map refetches after a redirect.
-	Refetches int64
+	Refetches int64 `counter:"refetches"`
 	// Recalls counts client lease recalls issued at batch commits (the
 	// recall storms the lease table absorbs during a migration).
-	Recalls int64
+	Recalls int64 `counter:"lease-recalls"`
 	// HandoffRecords counts WAL cursor records shipped with migration
 	// batches and acknowledged durable by their targets (the
 	// mds.reshard-wal-handoff counter).
-	HandoffRecords int64
+	HandoffRecords int64 `counter:"wal-handoff"`
 	// Retired counts drained shards fully retired after a shrink
 	// settled — sessions disconnected, replicas stopped, host released
 	// (the mds.reshard-retired counter).
-	Retired int64
+	Retired int64 `counter:"retired"`
 }

@@ -103,17 +103,17 @@ func (r *Request) respSize() int64 {
 // channel leaves its counts behind without any folding.
 type ConnStats struct {
 	// Calls is the number of requests submitted.
-	Calls int64
+	Calls int64 `counter:"calls"`
 	// Wire is the number of wire round trips actually performed.
-	Wire int64
+	Wire int64 `counter:"roundtrips"`
 	// Batches is the number of round trips that carried more than one
 	// request.
-	Batches int64
+	Batches int64 `counter:"batches"`
 	// Batched is the number of requests that rode in such a round trip.
-	Batched int64
+	Batched int64 `counter:"batched-reqs"`
 	// Recalls is the number of server→client callback messages
 	// delivered on this Conn.
-	Recalls int64
+	Recalls int64 `counter:"lease-recalls"`
 }
 
 // Conn is one client's channel to one server (a COFS client to a

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"time"
@@ -169,6 +170,36 @@ func (c *Counters) Add(name string, v int64) {
 		c.names = append(c.names, name)
 	}
 	c.vals[name] += v
+}
+
+var (
+	int64Type    = reflect.TypeFor[int64]()
+	durationType = reflect.TypeFor[time.Duration]()
+)
+
+// AddFields adds every field of the stats struct block (a struct or a
+// pointer to one) under prefix plus the field's `counter:"name"` tag. A
+// time.Duration field adds whole microseconds. A field without a tag,
+// or of any type but int64 and time.Duration, panics: a block cannot
+// hold a counter the registry does not show.
+func (c *Counters) AddFields(prefix string, block any) {
+	v := reflect.Indirect(reflect.ValueOf(block))
+	t := v.Type()
+	for i := range t.NumField() {
+		f := t.Field(i)
+		name := f.Tag.Get("counter")
+		if name == "" {
+			panic(fmt.Sprintf("stats: %s.%s has no counter tag", t, f.Name))
+		}
+		switch f.Type {
+		case int64Type:
+			c.Add(prefix+name, v.Field(i).Int())
+		case durationType:
+			c.Add(prefix+name, v.Field(i).Int()/int64(time.Microsecond))
+		default:
+			panic(fmt.Sprintf("stats: %s.%s is a %s, not an int64 or time.Duration counter", t, f.Name, f.Type))
+		}
+	}
 }
 
 // Get returns the named counter (0 if never added).

@@ -210,3 +210,36 @@ func TestCountersStringMatchesFprint(t *testing.T) {
 		t.Fatalf("not name-sorted:\n%s", c.String())
 	}
 }
+
+func TestCountersAddFields(t *testing.T) {
+	type block struct {
+		Calls int64         `counter:"calls"`
+		Wait  time.Duration `counter:"wait-us"`
+	}
+	c := NewCounters()
+	c.AddFields("rpc.", block{Calls: 3, Wait: 2999 * time.Nanosecond})
+	c.AddFields("rpc.", &block{Calls: 4, Wait: 1500 * time.Microsecond})
+	if got := c.Names(); len(got) != 2 || got[0] != "rpc.calls" || got[1] != "rpc.wait-us" {
+		t.Fatalf("names %v, want prefix+tag in field order", got)
+	}
+	// The same prefix sums; a Duration adds whole µs, truncated per block.
+	if got := c.Get("rpc.calls"); got != 7 {
+		t.Fatalf("rpc.calls=%d, want 7", got)
+	}
+	if got := c.Get("rpc.wait-us"); got != 1502 {
+		t.Fatalf("rpc.wait-us=%d, want 2+1500", got)
+	}
+	// An untagged field, or one that is not int64 or Duration, panics.
+	for _, bad := range []any{struct{ Calls int64 }{}, struct {
+		Calls int `counter:"calls"`
+	}{}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddFields(%T) did not panic", bad)
+				}
+			}()
+			NewCounters().AddFields("x.", bad)
+		}()
+	}
+}
