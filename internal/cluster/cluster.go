@@ -73,24 +73,6 @@ func New(seed int64, nodes int, cfg params.Config) *Testbed {
 // Run drains the simulation, panicking on deadlock (benchmark style).
 func (tb *Testbed) Run() { tb.Env.MustRun() }
 
-// AddServiceHosts provisions n dedicated service blades on the original
-// blade-center switch (the paper attached its metadata service there;
-// the sharded extension provisions one blade per metadata shard). Host
-// names derive from prefix: the first host is prefix itself, so a
-// single-shard deployment keeps the paper's "cofs-mds" naming, and
-// extras are prefix1, prefix2, ...
-func (tb *Testbed) AddServiceHosts(prefix string, n, workers int) []*netsim.Host {
-	hosts := make([]*netsim.Host, n)
-	for i := range hosts {
-		name := prefix
-		if i > 0 {
-			name = fmt.Sprintf("%s%d", prefix, i)
-		}
-		hosts[i] = tb.Net.AddHost(name, workers, 0)
-	}
-	return hosts
-}
-
 // Ctx returns a caller context for the given node and process id.
 func Ctx(node, pid int) vfs.Ctx {
 	return vfs.Ctx{Node: node, PID: pid, UID: 1000, GID: 100}

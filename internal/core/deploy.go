@@ -43,12 +43,7 @@ func Deploy(tb *cluster.Testbed, place Placement) *Deployment {
 		hp.Nodes = len(tb.Nodes)
 		place = hp
 	}
-	shards := cfg.COFS.MetadataShards
-	if shards < 1 {
-		shards = 1
-	}
-	hosts := tb.AddServiceHosts("cofs-mds", shards, cfg.COFS.ServiceWorkers)
-	svc := NewMDSCluster(tb.Net, hosts, cfg)
+	svc := newPlane(tb.Net, cfg, "cofs-mds", cfg.COFS.MetadataShards)
 	if cfg.COFS.Trace || cfg.COFS.Metrics {
 		// Attached before the install traffic below so traces are
 		// complete from the first operation.

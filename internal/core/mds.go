@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cofs/internal/lock"
+	"cofs/internal/mdb"
 	"cofs/internal/netsim"
 	"cofs/internal/params"
 	"cofs/internal/reshard"
@@ -137,16 +138,16 @@ type MDSCluster struct {
 	// differently and the deadlock-freedom argument would fall. It is
 	// an ordering namespace only — actual ownership lives in Maps.
 	lockShards int
-	// sessions tracks every client connection: growing the plane must
-	// dial each session's channels to the new shards before any request
-	// can be routed at them.
+	// sessions tracks every client connection: fit dials each
+	// session's channels to new shards before any request can be
+	// routed at them.
 	sessions []*Session
 	// rowLocks is the plane's ordered row-lock table: cross-shard
 	// mutations hold per-inode/per-dentry locks across their whole
 	// validate→commit span (txnlock.go, docs/transactions.md). Nil on
 	// unsharded planes — a single shard commits every mutation in one
-	// serialized transaction — and on unlocked planes. Growing an
-	// unsharded plane creates it (Reshard).
+	// serialized transaction — and on unlocked planes. fit creates it
+	// once the plane has a second shard.
 	rowLocks *lock.RowLocks
 	// unlocked reverts the plane to the unlocked validate→commit
 	// protocol, and exclusiveLocks makes its row-lock table
@@ -159,7 +160,7 @@ type MDSCluster struct {
 	// (txnlock.go).
 	txnFree []*rowTxn
 	// reshardHost is the coordinator's own small host, created lazily at
-	// the first Reshard, with one channel per shard for migration
+	// the first Reshard; fit keeps one channel per shard for migration
 	// traffic.
 	reshardHost  *netsim.Host
 	reshardConns []*rpc.Conn
@@ -175,13 +176,12 @@ type MDSCluster struct {
 	// nothing (the simulation is cooperative: there is no yield between
 	// reading and setting it).
 	resharding bool
-	// hostPrefix names hosts growTo provisions, matching the
-	// AddServiceHosts convention of the plane's deploy ("cofs-mds" for
-	// primaries, "cofs-mds-standby" for standby planes).
+	// hostPrefix names the hosts growTo provisions ("cofs-mds" for
+	// primaries, "cofs-mds-standby" for standby planes; see newPlane).
 	hostPrefix string
 	// standbys are the hot-standby planes attached to this primary
-	// (replication.go): a reshard grows and retires them in lockstep so
-	// the standby shape always tracks the current epoch.
+	// (replication.go): fit grows them and retireDrained retires them in
+	// lockstep, so the standby shape always tracks the current epoch.
 	standbys []*Standby
 	// onReshardStep/reshardSeq drive the crash-injection step hook
 	// (OnReshardStep); recovering suppresses it while recoverReshard
@@ -195,55 +195,105 @@ type MDSCluster struct {
 	obs *obsPlane
 }
 
-// NewMDSCluster creates one metadata shard per host. The hosts must be
-// on the deployment's network; each shard gets a freshly attached local
-// disk named after its host, plus an RPC channel to every peer shard
-// for the two-phase protocol traffic.
-func NewMDSCluster(net *netsim.Net, hosts []*netsim.Host, cfg params.Config) *MDSCluster {
+// newPlane creates an n-shard metadata plane on dedicated service
+// blades attached to the original blade-center switch (the paper
+// attached its metadata service there). Host names derive from prefix:
+// the first host is prefix itself, so a single-shard deployment keeps
+// the paper's "cofs-mds" naming, and extras are prefix1, prefix2, ...
+// Each shard gets a freshly attached local disk named after its id.
+func newPlane(net *netsim.Net, cfg params.Config, prefix string, n int) *MDSCluster {
+	if n < 1 {
+		n = 1
+	}
 	c := &MDSCluster{
-		Maps:         reshard.NewCoordinator(len(hosts)),
+		Maps:         reshard.NewCoordinator(n),
 		cfg:          cfg.COFS,
 		full:         cfg,
 		net:          net,
-		lockShards:   len(hosts),
+		lockShards:   n,
 		reshardBatch: reshardBatchGroups,
-		hostPrefix:   "cofs-mds",
+		hostPrefix:   prefix,
 	}
-	if c.lockShards < 1 {
-		c.lockShards = 1
-	}
-	for i, h := range hosts {
-		c.shards = append(c.shards, newShard(net, h, cfg, c, i))
-	}
-	c.ensureRowLocks()
-	c.dialPeers()
+	c.growTo(n)
 	return c
 }
 
-// ensureRowLocks creates the plane's row-lock table, counting into the
-// plane's block, once the plane has more than one shard (unless the
-// plane runs unlocked).
-func (c *MDSCluster) ensureRowLocks() {
-	if len(c.shards) > 1 && c.rowLocks == nil && !c.unlocked {
-		c.rowLocks = lock.NewRowLocks(c.net.Env(), &c.ctr.locks)
-		c.rowLocks.ExclusiveOnly = c.exclusiveLocks
-		c.wireLockObs()
+// growTo extends the plane to n shards, each on a new host, and fits
+// everything sized by the shard count to the grown plane. Runs without
+// a yield; nothing routes at the new shards until an epoch says so.
+func (c *MDSCluster) growTo(n int) {
+	for i := len(c.shards); i < n; i++ {
+		name := c.hostPrefix
+		if i > 0 {
+			name = fmt.Sprintf("%s%d", c.hostPrefix, i)
+		}
+		host := c.net.AddHost(name, c.cfg.ServiceWorkers, 0)
+		c.shards = append(c.shards, newShard(c.net, host, c.full, c, i))
 	}
+	c.fit()
 }
 
-// dialPeers completes the shard-to-shard channel mesh, every channel
-// counting into the plane's block.
-func (c *MDSCluster) dialPeers() {
-	for _, s := range c.shards {
-		for len(s.peers) < len(c.shards) {
-			s.peers = append(s.peers, nil)
-		}
-		for j, t := range c.shards {
-			if t != s && s.peers[j] == nil {
-				s.peers[j] = rpc.Dial(c.net, s.host, t.host, c.cfg.RPCBatch, &c.ctr.peer)
+// fit is the plane's one shape reconciler: it brings every structure
+// sized by the shard count in line with c.shards — the row-lock table
+// (once the plane has more than one shard, unless it runs unlocked),
+// the peer mesh, the reshard rig's channels, each attached standby
+// plane and its replicas, every session's channels to the primaries
+// and to the read-serving standby, and the obs hooks. Idempotent and
+// yield-free: every change to a shard, session, standby or obs list is
+// followed by a fit.
+func (c *MDSCluster) fit() { c.fitTo(len(c.shards)) }
+
+// fitTo is fit for the first n shards: channels to shards at or past n
+// are dropped (their counts stay in the blocks they counted into),
+// missing ones are dialed. Only retireDrained passes n below
+// len(c.shards), to cut the drained shards off before it drains their
+// standby replicas. A standby plane never shrinks here — retiring its
+// shards must first drain their shipping tail (Standby.retire).
+func (c *MDSCluster) fitTo(n int) {
+	if n > 1 && c.rowLocks == nil && !c.unlocked {
+		c.rowLocks = lock.NewRowLocks(c.net.Env(), &c.ctr.locks)
+		c.rowLocks.ExclusiveOnly = c.exclusiveLocks
+	}
+	for i, s := range c.shards[:n] {
+		s.peers = fitConns(s.peers, n, func(j int) *rpc.Conn {
+			if j == i {
+				return nil
 			}
+			return rpc.Dial(c.net, s.host, c.shards[j].host, c.cfg.RPCBatch, &c.ctr.peer)
+		})
+	}
+	if c.reshardHost != nil {
+		c.reshardConns = fitConns(c.reshardConns, n, func(j int) *rpc.Conn {
+			return rpc.Dial(c.net, c.reshardHost, c.shards[j].host, false, &c.ctr.peer)
+		})
+	}
+	for _, sb := range c.standbys {
+		sb.Cluster.growTo(n)
+		for i := len(sb.Replicas); i < n; i++ {
+			sb.Replicas = append(sb.Replicas,
+				mdb.Replicate(c.net.Env(), c.shards[i].DB, sb.Cluster.shards[i].DB, sb.delay))
 		}
 	}
+	sb := c.readStandby()
+	for _, sess := range c.sessions {
+		sess.conns = fitConns(sess.conns, n, func(j int) *rpc.Conn { return sess.dial(c.shards[j]) })
+		if sb != nil {
+			sess.sbconns = fitConns(sess.sbconns, n, func(j int) *rpc.Conn { return sess.dial(sb.Cluster.shards[j]) })
+		}
+	}
+	c.wireObs()
+}
+
+// fitConns truncates conns to n channels, or extends it to n with
+// dial(i) for each missing index i.
+func fitConns(conns []*rpc.Conn, n int, dial func(i int) *rpc.Conn) []*rpc.Conn {
+	if len(conns) > n {
+		return conns[:n]
+	}
+	for i := len(conns); i < n; i++ {
+		conns = append(conns, dial(i))
+	}
+	return conns
 }
 
 // Shards returns the shard services in shard-id order (tooling/tests).
@@ -310,7 +360,7 @@ func (c *MDSCluster) StoreName() string { return c.shards[0].DB.EngineName() }
 func (c *MDSCluster) routed(p *sim.Proc, sess *Session, ino vfs.Ino, op func(s *Service) error) {
 	for {
 		si := sess.view.Of(uint64(ino))
-		if si >= len(c.shards) || si >= len(sess.conns) {
+		if si >= len(sess.conns) {
 			sess.refetchMap(p, c)
 			continue
 		}

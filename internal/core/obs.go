@@ -5,6 +5,7 @@ import (
 
 	"cofs/internal/lock"
 	"cofs/internal/obs"
+	"cofs/internal/rpc"
 	"cofs/internal/sim"
 	"cofs/internal/vfs"
 )
@@ -28,7 +29,7 @@ import (
 //
 // The transport (rpc.send/queue/serve/recv) and WAL
 // (wal.commit/flush/sync) child spans are recorded by their own layers
-// once the Conn.Trace / DB.SetTrace hooks below are set.
+// once wireObs has set the Conn.Trace / DB.SetTrace hooks.
 
 // obsPlane bundles the optional tracer and metrics registry one
 // MDSCluster reports into. Either half may be nil (trace-only or
@@ -38,29 +39,16 @@ type obsPlane struct {
 	m  *obs.Metrics
 }
 
-// EnableObs attaches an observability plane to the cluster and wires
-// every existing shard, session and migration channel into it. Shards
-// and sessions created later (growTo, Connect) are wired at creation.
-// Call with at least one non-nil argument; before any client traffic
-// for complete traces.
+// EnableObs attaches an observability plane to the cluster; the fit
+// wires every shard, session and migration channel into it, and every
+// later fit (growTo, Connect) wires what it adds. Call with at least
+// one non-nil argument; before any client traffic for complete traces.
 func (c *MDSCluster) EnableObs(tr *obs.Tracer, m *obs.Metrics) {
 	if tr == nil && m == nil {
 		return
 	}
 	c.obs = &obsPlane{tr: tr, m: m}
-	if m != nil {
-		m.GrowShards(len(c.shards))
-	}
-	for i := range c.shards {
-		c.wireShardObs(i)
-	}
-	for _, sess := range c.sessions {
-		c.wireSessionObs(sess)
-	}
-	for _, conn := range c.reshardConns {
-		conn.Trace = tr
-	}
-	c.wireLockObs()
+	c.fit()
 }
 
 // Tracer returns the cluster's tracer, nil when tracing is off.
@@ -80,45 +68,44 @@ func (c *MDSCluster) Metrics() *obs.Metrics {
 	return c.obs.m
 }
 
-// wireShardObs hooks shard i's own event sources into the plane: its
-// database (WAL spans, stamped at the Engine seam so every store
-// backend is covered) and its peer channels (transport spans of the
-// two-phase protocol).
-func (c *MDSCluster) wireShardObs(i int) {
+// wireObs hooks every event source of the plane into the obs plane
+// (fit calls it after every reshape): each shard's database (WAL spans,
+// stamped at the Engine seam so every store backend is covered), the
+// transport spans of every channel — peer, reshard rig, session — the
+// coalescing queue depth of each session's channel to shard i mirrored
+// into that shard's queue gauge, and the row-lock table.
+func (c *MDSCluster) wireObs() {
 	o := c.obs
 	if o == nil {
 		return
 	}
-	s := c.shards[i]
-	if o.tr != nil {
-		s.DB.SetTrace(o.tr, s.host.Name)
-		for _, pc := range s.peers {
-			if pc != nil {
-				pc.Trace = o.tr
+	if o.m != nil {
+		o.m.GrowShards(len(c.shards))
+	}
+	for _, s := range c.shards {
+		if o.tr != nil {
+			s.DB.SetTrace(o.tr, s.host.Name)
+		}
+		traceConns(o.tr, s.peers)
+	}
+	traceConns(o.tr, c.reshardConns)
+	for _, sess := range c.sessions {
+		traceConns(o.tr, sess.conns)
+		traceConns(o.tr, sess.sbconns)
+		if o.m != nil {
+			for i, conn := range sess.conns {
+				conn.Queue = o.m.QueueGauge(i)
 			}
 		}
 	}
+	c.wireLockObs()
 }
 
-// wireSessionObs hooks a session's channels into the plane: transport
-// spans on every conn, and the coalescing queue depth of the channel to
-// shard i mirrored into that shard's queue gauge.
-func (c *MDSCluster) wireSessionObs(sess *Session) {
-	o := c.obs
-	if o == nil {
-		return
-	}
-	for i, conn := range sess.conns {
-		if o.tr != nil {
-			conn.Trace = o.tr
-		}
-		if o.m != nil && i < o.m.Shards() {
-			conn.Queue = o.m.QueueGauge(i)
-		}
-	}
-	for _, conn := range sess.sbconns {
-		if o.tr != nil {
-			conn.Trace = o.tr
+// traceConns points every channel's transport spans at tr.
+func traceConns(tr *obs.Tracer, conns []*rpc.Conn) {
+	for _, conn := range conns {
+		if conn != nil {
+			conn.Trace = tr
 		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 //
 // The standby tracks the *current* epoch's shape, not the deploy-time
 // one: it shares the primary's shard-map coordinator, a reshard grows
-// it shard-for-shard with the primary (MDSCluster.growTo) and retires
+// it shard-for-shard with the primary (MDSCluster.fit) and retires
 // its drained shards when a shrink settles (Standby.retire), and
 // Promote re-points its allocators by the current map — so a plane
 // promoted at any instant of a migration serves the same namespace and
@@ -36,8 +36,8 @@ type Standby struct {
 	Cluster *MDSCluster
 	// Replicas are the per-shard WAL shipping channels, in shard order.
 	Replicas []*mdb.Replica
-	// delay is the shipping delay; new shard replicas attach with it
-	// when the primary grows mid-standby.
+	// delay is the shipping delay; the primary's fit attaches every
+	// shard replica with it.
 	delay time.Duration
 	// primary is the plane this standby ships from.
 	primary *MDSCluster
@@ -55,8 +55,10 @@ type Standby struct {
 // deployment: one standby shard (own host, own disk) per primary shard,
 // connected to the original blade-center switch, receiving the
 // primary's committed transactions with the given shipping delay. The
-// standby registers with the primary so reshards keep the two planes in
-// lockstep.
+// standby joins the primary's standby list and the primary's fit
+// attaches the replicas (and, for a read-serving standby, dials every
+// session's standby channels); from then on every fit — a reshard's
+// growth included — keeps the two planes in lockstep.
 func DeployStandby(tb *cluster.Testbed, d *Deployment, delay time.Duration) *Standby {
 	if d.Service.Maps.Current().Migrating() {
 		// A mid-migration plane is between shard counts: sizing the
@@ -67,62 +69,21 @@ func DeployStandby(tb *cluster.Testbed, d *Deployment, delay time.Duration) *Sta
 		// reshard or after it settles.
 		panic("core: DeployStandby during a live reshard (attach before Reshard or after it settles)")
 	}
-	n := len(d.Service.Shards())
-	hosts := tb.AddServiceHosts("cofs-mds-standby", n, tb.Cfg.COFS.ServiceWorkers)
-	sc := NewMDSCluster(tb.Net, hosts, tb.Cfg)
-	sc.hostPrefix = "cofs-mds-standby"
+	sb := &Standby{
+		Cluster: newPlane(tb.Net, tb.Cfg, "cofs-mds-standby", len(d.Service.Shards())),
+		delay:   delay,
+		primary: d.Service,
+		// The first standby becomes the read offload.
+		serveReads: tb.Cfg.COFS.StandbyReads && len(d.Service.standbys) == 0,
+	}
 	// The standby routes, validates and — after Promote — recovers by
 	// the primary's epoch log: sharing the coordinator keeps the
 	// standby plane shaped by the current epoch, whatever the shard
 	// count was when it attached.
-	sc.Maps = d.Service.Maps
-	sb := &Standby{Cluster: sc, delay: delay, primary: d.Service}
-	for i := range sc.shards {
-		sb.Replicas = append(sb.Replicas,
-			mdb.Replicate(tb.Env, d.Service.shards[i].DB, sc.shards[i].DB, delay))
-	}
+	sb.Cluster.Maps = d.Service.Maps
 	d.Service.standbys = append(d.Service.standbys, sb)
-	if tb.Cfg.COFS.StandbyReads && len(d.Service.standbys) == 1 {
-		// The first standby becomes the read offload; sessions dialed
-		// before it attached get their standby channels now.
-		sb.serveReads = true
-		for _, sess := range d.Service.sessions {
-			for _, s := range sc.shards {
-				sess.sbconns = append(sess.sbconns, sess.dial(s))
-			}
-			// Re-wire so the fresh standby channels trace like the rest.
-			d.Service.wireSessionObs(sess)
-		}
-	}
+	d.Service.fit()
 	return sb
-}
-
-// grow extends the standby plane to the primary's shard count (called
-// by the primary's growTo at the start of a reshard): new standby
-// shards on new standby hosts, each shipping from its new primary
-// shard with the deploy-time delay.
-func (sb *Standby) grow(primary *MDSCluster) {
-	sc := sb.Cluster
-	old := len(sb.Replicas)
-	sc.growTo(len(primary.shards))
-	for i := len(sb.Replicas); i < len(primary.shards); i++ {
-		sb.Replicas = append(sb.Replicas,
-			mdb.Replicate(sc.net.Env(), primary.shards[i].DB, sc.shards[i].DB, sb.delay))
-	}
-	if sb.serveReads {
-		// Every session needs channels to the new standby shards before
-		// serving resumes at the settled epoch (reads are paused for the
-		// whole migration).
-		for _, sess := range primary.sessions {
-			if len(sess.sbconns) != old {
-				continue
-			}
-			for i := old; i < len(sc.shards); i++ {
-				sess.sbconns = append(sess.sbconns, sess.dial(sc.shards[i]))
-			}
-			primary.wireSessionObs(sess)
-		}
-	}
 }
 
 // retire drops the standby's drained-shard replicas after a shrink
@@ -132,20 +93,11 @@ func (sb *Standby) grow(primary *MDSCluster) {
 // the standby shards themselves retire (hosts released, channels
 // dropped).
 func (sb *Standby) retire(p *sim.Proc, n int) {
-	for i := n; i < len(sb.Replicas); i++ {
-		sb.Replicas[i].Flush(p)
-		sb.Replicas[i].Stop()
+	for _, r := range sb.Replicas[n:] {
+		r.Flush(p)
+		r.Stop()
 	}
-	if len(sb.Replicas) > n {
-		sb.Replicas = sb.Replicas[:n]
-	}
-	if sb.serveReads {
-		for _, sess := range sb.primary.sessions {
-			if len(sess.sbconns) > n {
-				sess.sbconns = sess.sbconns[:n]
-			}
-		}
-	}
+	sb.Replicas = sb.Replicas[:n]
 	sb.Cluster.retireDrained(p)
 }
 
@@ -195,12 +147,9 @@ func (sb *Standby) Promote(d *Deployment) int {
 		}
 	}
 	sc.AdoptIDCounter()
-	if d.Service.obs != nil {
-		// The promoted plane keeps reporting into the deployment's
-		// tracer/metrics; wired before SetService so the re-dialed
-		// sessions below pick the hooks up at Connect.
-		sc.EnableObs(d.Service.obs.tr, d.Service.obs.m)
-	}
+	// The promoted plane keeps reporting into the deployment's
+	// tracer/metrics; the fit of each re-dialing Connect below wires it.
+	sc.obs = d.Service.obs
 	for _, fs := range d.FSs {
 		fs.SetService(sc)
 	}

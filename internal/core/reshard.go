@@ -18,10 +18,11 @@ import (
 // internal/reshard). MDSCluster.Reshard re-points the serving plane at
 // a new shard count while it keeps serving:
 //
-//  1. Grow the plane if needed: new shards on new hosts, the peer mesh
-//     and every session's channels extended, attached standby planes
-//     grown in lockstep. Nothing routes to the new shards until the map
-//     says so.
+//  1. Grow the plane if needed: new shards on new hosts, then one fit
+//     (MDSCluster.fit) sizes every per-shard structure — the peer mesh,
+//     every session's channels, attached standby planes and their
+//     replicas — to the grown plane. Nothing routes to the new shards
+//     until the map says so.
 //  2. Publish the first migration epoch (reshard.Coordinator.Begin):
 //     allocators switch to the target placement above the newborn
 //     boundary, so everything created from here on is born where it
@@ -237,91 +238,37 @@ func (c *MDSCluster) settleReshard(p *sim.Proc) error {
 	return nil
 }
 
-// growTo extends the plane to n serving shards: new shards on new
-// hosts (named like AddServiceHosts names them), the peer mesh
-// completed, the row-lock table created if the plane was unsharded,
-// every connected session dialed to the new shards, and every attached
-// standby plane grown shard-for-shard. Runs without a yield; nothing
-// routes at the new shards until an epoch says so.
-func (c *MDSCluster) growTo(n int) {
-	for i := len(c.shards); i < n; i++ {
-		host := c.net.AddHost(fmt.Sprintf("%s%d", c.hostPrefix, i), c.cfg.ServiceWorkers, 0)
-		c.shards = append(c.shards, newShard(c.net, host, c.full, c, i))
-	}
-	c.ensureRowLocks()
-	c.dialPeers()
-	for _, sess := range c.sessions {
-		for i := len(sess.conns); i < len(c.shards); i++ {
-			sess.conns = append(sess.conns, sess.dial(c.shards[i]))
-		}
-	}
-	if c.obs != nil {
-		if c.obs.m != nil {
-			c.obs.m.GrowShards(len(c.shards))
-		}
-		// Re-wire every shard, not just the new ones: the peer-mesh
-		// completion above also dials new channels on pre-existing
-		// shards, and each session gained conns.
-		for i := range c.shards {
-			c.wireShardObs(i)
-		}
-		for _, sess := range c.sessions {
-			c.wireSessionObs(sess)
-		}
-	}
-	for _, sb := range c.standbys {
-		sb.grow(c)
-	}
-}
-
 // ensureReshardRig provisions the coordinator's own small host (the
-// "small coordinator" owning the shard maps) and its migration channel
-// to every shard. Lazy: a plane that never reshards never grows it.
+// "small coordinator" owning the shard maps); fit then keeps its
+// migration channel to every shard. Lazy: a plane that never reshards
+// never grows it.
 func (c *MDSCluster) ensureReshardRig() {
 	if c.reshardHost == nil {
 		c.reshardHost = c.net.AddHost("cofs-reshard", 1, 0)
-	}
-	for i := len(c.reshardConns); i < len(c.shards); i++ {
-		conn := rpc.Dial(c.net, c.reshardHost, c.shards[i].host, false, &c.ctr.peer)
-		if c.obs != nil {
-			conn.Trace = c.obs.tr
-		}
-		c.reshardConns = append(c.reshardConns, conn)
+		c.fit()
 	}
 }
 
 // retireDrained completes a shrink after the map settles: the drained
 // shards — empty, unrouted, owning nothing — leave the plane entirely.
-// Sessions drop their channels to them, surviving shards drop their
-// peer channels, attached standby planes drain and stop their shipping,
-// and the hosts are released back to the testbed. The dropped channels'
-// counts stay in the blocks they counted into (the client's and the
-// plane's). A no-op unless shards were drained.
+// Every channel to them (sessions, peers, the reshard rig) is dropped
+// first, so no request can be routed at a drained shard while attached
+// standby planes drain and stop their shipping — a yield; then the
+// hosts are released back to the testbed and the plane shrinks. The
+// dropped channels' counts stay in the blocks they counted into (the
+// client's and the plane's). A no-op unless shards were drained.
 func (c *MDSCluster) retireDrained(p *sim.Proc) {
 	n := c.Maps.Current().Target()
 	if n < 1 || n >= len(c.shards) {
 		return
 	}
-	for _, sess := range c.sessions {
-		if len(sess.conns) > n {
-			sess.conns = sess.conns[:n]
-		}
-	}
-	for i, s := range c.shards {
-		if i >= n {
-			s.peers = nil
-		} else if len(s.peers) > n {
-			s.peers = s.peers[:n]
-		}
-	}
-	if len(c.reshardConns) > n {
-		c.reshardConns = c.reshardConns[:n]
-	}
+	c.fitTo(n)
 	for _, sb := range c.standbys {
 		sb.retire(p, n)
 	}
-	for i := n; i < len(c.shards); i++ {
-		c.net.ReleaseHost(c.shards[i].host)
+	for _, s := range c.shards[n:] {
+		s.peers = nil
+		c.net.ReleaseHost(s.host)
 		c.ctr.reshard.Retired++
 	}
 	c.shards = c.shards[:n]

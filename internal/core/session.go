@@ -36,23 +36,15 @@ type Session struct {
 	stats *rpc.ConnStats
 }
 
-// Connect attaches a client to the plane: one channel per shard,
-// batching per the plane's RPCBatch knob, each counting into stats.
-// The cache is the client's attribute/dentry cache; shards install
-// lease-granted entries into it and recall them on conflicting
-// mutations.
+// Connect attaches a client to the plane: the plane's fit dials one
+// channel per shard (and per read-serving standby shard), batching per
+// the plane's RPCBatch knob, each counting into stats. The cache is the
+// client's attribute/dentry cache; shards install lease-granted entries
+// into it and recall them on conflicting mutations.
 func (c *MDSCluster) Connect(host *netsim.Host, node int, cache *clientCache, stats *rpc.ConnStats) *Session {
 	sess := &Session{node: node, host: host, cache: cache, view: c.Maps.Current(), stats: stats}
-	for _, s := range c.shards {
-		sess.conns = append(sess.conns, sess.dial(s))
-	}
-	if sb := c.readStandby(); sb != nil {
-		for _, s := range sb.Cluster.shards {
-			sess.sbconns = append(sess.sbconns, sess.dial(s))
-		}
-	}
 	c.sessions = append(c.sessions, sess)
-	c.wireSessionObs(sess)
+	c.fit()
 	return sess
 }
 

@@ -169,9 +169,7 @@ func (e *Engine) maybeCompact(p *sim.Proc, db *mdb.DB) {
 }
 
 func init() {
-	store.Register(store.Provider{
-		Name: "mdls",
-		Doc:  "log-structured checkpoint+journal store: cheap durable appends, periodic compaction stalls, segmented recovery scan",
-		New:  New,
-	})
+	// The log-structured checkpoint+journal store: cheap durable
+	// appends, periodic compaction stalls, segmented recovery scan.
+	store.Register(store.Provider{Name: "mdls", New: New})
 }

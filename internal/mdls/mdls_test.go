@@ -81,6 +81,31 @@ func TestCompactionStall(t *testing.T) {
 	}
 }
 
+// TestCompactionSingleFlight has two committers cross the compaction
+// threshold back to back: the second one's append queues behind the
+// first's on the journal head, so it reaches maybeCompact while the
+// first is compacting, and must not start a second rewrite.
+func TestCompactionSingleFlight(t *testing.T) {
+	env := sim.NewEnv(1)
+	db, e, _ := newDB(env, params.Default().Disk)
+	e.CompactMinRecords = 64
+	tbl := mdb.NewTable[int, int](db, "t", mdb.DiscCopies)
+	env.Spawn("fill", func(p *sim.Proc) {
+		for i := 0; i < 62; i++ {
+			db.Transaction(p, func(tx *mdb.Tx) { mdb.Put(tx, tbl, i%2, i) })
+		}
+		for c := 0; c < 2; c++ {
+			env.Spawn("committer", func(p *sim.Proc) {
+				db.Transaction(p, func(tx *mdb.Tx) { mdb.Put(tx, tbl, c, -c) })
+			})
+		}
+	})
+	env.MustRun()
+	if e.Compactions != 1 {
+		t.Fatalf("%d compactions, want exactly 1", e.Compactions)
+	}
+}
+
 // TestSegmentedRecovery checks that RecoverScan reads the journal in
 // 4096-record segments, each a seek away from the last: n records pay
 // ceil(n/4096) positioning costs, not one, plus the per-record index

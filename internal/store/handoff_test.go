@@ -14,8 +14,8 @@ import (
 	_ "cofs/internal/mdls"
 )
 
-// The WAL-handoff protocol (internal/mdb/handoff.go) is part of the
-// MetadataStore contract, not an mdb implementation detail: resharding
+// The WAL-handoff protocol (internal/mdb/handoff.go) is part of what
+// every provider's *mdb.DB owes core, not an mdb detail: resharding
 // and standby promotion rest on it, so every registered backend must
 // honor the same exactly-once ownership accounting. This property test
 // drives a two-shard migration through the protocol — with crashes

@@ -2,8 +2,9 @@
 // lets a deployment pick its per-shard durability backend by name, the
 // way DittoFS selects memory/badger/postgres stores. A provider wires a
 // durability engine into the shared table/transaction front-end
-// (internal/mdb); `internal/core` deploys shards through Open, and the
-// cmd tools expose the choice as a `-store` flag.
+// (internal/mdb) and hands back an *mdb.DB; `internal/core` deploys
+// shards through Open, and the cmd tools expose the choice as a
+// `-store` flag.
 //
 // Providers register from their package init (the default "mdb" here,
 // "mdls" in internal/mdls); registration is init-time only and the
@@ -19,29 +20,6 @@ import (
 	"cofs/internal/mdb"
 	"cofs/internal/sim"
 )
-
-// MetadataStore is the contract a shard's store must satisfy: the
-// transaction front-end, the freeze/crash/recover/checkpoint lifecycle,
-// and — load-bearing since the plane reshards and promotes standbys —
-// the WAL-handoff cursor protocol with its exactly-once ownership
-// accounting. *mdb.DB is the one implementation of the front-end; what
-// varies per provider is the durability engine behind it.
-type MetadataStore interface {
-	Transaction(p *sim.Proc, fn func(tx *mdb.Tx))
-	Freeze(p *sim.Proc)
-	Thaw(p *sim.Proc)
-	Crash()
-	Recover(p *sim.Proc)
-	Checkpoint(p *sim.Proc)
-	WALLen() int
-	OwnedWALLen() int
-	ImportHandoff(p *sim.Proc, h *mdb.Handoff)
-	SealHandoff(n int)
-	RetireHandoff(n int)
-	EngineName() string
-}
-
-var _ MetadataStore = (*mdb.DB)(nil)
 
 // Options carries the deployment knobs a provider may honor.
 type Options struct {
@@ -60,8 +38,6 @@ type Provider struct {
 	// New builds a shard database on disk d. d is never nil for a
 	// deployment shard.
 	New func(env *sim.Env, d *disk.Disk, opt Options) *mdb.DB
-	// Doc is a one-line description for tool help and docs.
-	Doc string
 }
 
 var providers = map[string]Provider{}
@@ -113,8 +89,9 @@ func Lookup(name string) (Provider, bool) {
 
 func init() {
 	Register(Provider{
+		// The Mnesia-style WAL store: group commit or interval-batched
+		// background dumps (the paper's prototype).
 		Name: DefaultName,
-		Doc:  "Mnesia-style WAL store: group commit or interval-batched background dumps (the paper's prototype)",
 		New: func(env *sim.Env, d *disk.Disk, opt Options) *mdb.DB {
 			if opt.FlushInterval > 0 {
 				return mdb.NewAsync(env, d, opt.OpTime, opt.FlushInterval)
